@@ -26,12 +26,10 @@ class Tape:
     """Ordered record of backward closures for one forward computation.
 
     Single-threaded by construction: at most one tape is active at a time.
-    ``seed`` is reserved for stochastic ops (none are currently recorded).
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.records: list = []
-        self.seed = seed
 
     def __enter__(self) -> "Tape":
         global _TAPE
@@ -255,10 +253,15 @@ def relu(a) -> Tensor:
     return _from_op(np.where(mask, a.data, 0.0), (a,), backward)
 
 
+def _stable_sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) given e = exp(-|x|), without overflow for large |x|."""
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    s = _stable_sigmoid(x, np.exp(-np.abs(x)))
 
     def backward(g):
         _accumulate(a, g * s * (1.0 - s))
@@ -311,8 +314,9 @@ def softplus(a) -> Tensor:
     """log(1 + exp(x)), computed stably."""
     a = as_tensor(a)
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.maximum(x, 0.0) + np.log1p(e)
+    s = _stable_sigmoid(x, e)
 
     def backward(g):
         _accumulate(a, g * s)

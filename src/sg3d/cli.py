@@ -13,13 +13,13 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericError, Sg3dError
 from .metrics import (EvalConfig, PredictionDump, ScenePrediction, dump_from_jsonl,
                       dump_to_jsonl, evaluate, report_rows, report_to_csv)
@@ -95,7 +95,7 @@ def train_config(cfg: dict, args) -> TrainConfig:
     values = dict(cfg.get("train", {}))
     if args.seed is not None:
         values["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
+    if args.epochs is not None:
         values["epochs"] = args.epochs
     if getattr(args, "vlsat", None) is not None:
         values["vlsat"] = args.vlsat
@@ -109,7 +109,7 @@ def eval_config(cfg: dict, args) -> EvalConfig:
     for key in ("object_ks", "predicate_ks", "triplet_ks", "recall_ks"):
         if key in values:
             values[key] = tuple(values[key])
-    if getattr(args, "k_list", None):
+    if args.k_list:
         values["recall_ks"] = tuple(int(k) for k in args.k_list.split(","))
     return _build_dataclass(EvalConfig, values, "eval config")
 
@@ -135,7 +135,8 @@ def read_manifest(dataset_dir: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def read_dataset(dataset_dir: Path, strict: bool = True):
+def read_dataset(dataset_dir: Path, strict: bool = True, splits=("train", "validation")):
+    """Manifest, vocabulary and the scenes of the listed splits' files."""
     manifest = read_manifest(dataset_dir)
     vocab = Vocabulary(object_names=manifest["object_names"],
                        predicate_names=manifest["predicate_names"],
@@ -143,7 +144,7 @@ def read_dataset(dataset_dir: Path, strict: bool = True):
     if vocab.content_hash() != manifest["vocab_hash"]:
         raise DataError("manifest vocabulary hash mismatch")
     samples = []
-    for split in ("train", "validation"):
+    for split in splits:
         path = dataset_dir / f"{split}.jsonl"
         if path.exists():
             samples.extend(load_scene_file(path, vocab, strict=strict))
@@ -173,7 +174,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     dataset_dir = Path(args.dataset)
-    samples, vocab, manifest = read_dataset(dataset_dir, strict=args.strict)
+    samples, vocab, manifest = read_dataset(dataset_dir, strict=args.strict, splits=("train",))
     mc = model_config(cfg, manifest)
     tc = train_config(cfg, args)
     provider = provider_from_manifest(manifest)
@@ -197,8 +198,8 @@ def cmd_train(args) -> int:
             log.info("epoch %d: lr %.6f total %.6f", record["epoch"], record["lr"],
                      record["loss_total"])
 
-        model, optimizer, logs = train(samples, vocab, provider, mc, tc,
-                                       resume=resume, log_hook=hook)
+        model, optimizer, _ = train(samples, vocab, provider, mc, tc,
+                                    resume=resume, log_hook=hook)
     ck = Checkpoint.capture(model, optimizer, tc, next_epoch=tc.epochs,
                             vocab_hash=vocab.content_hash(),
                             extra={"config_hash": config_hash(asdict(tc) | asdict(mc)),
@@ -211,14 +212,9 @@ def cmd_train(args) -> int:
 def _predict_scene(model: ModelState, sample) -> ScenePrediction:
     prepared = prepare_scene(sample)
     result = forward_scene(model, prepared, "3d")
-    logits = result.obj_logits_3d.data
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    obj_probs = e / e.sum(axis=1, keepdims=True)
+    obj_probs = ad.softmax(result.obj_logits_3d, axis=1).data
     if result.pred_logits_3d is not None:
-        pl = result.pred_logits_3d.data
-        pred_probs = np.where(pl >= 0, 1.0 / (1.0 + np.exp(-np.abs(pl))),
-                              np.exp(-np.abs(pl)) / (1.0 + np.exp(-np.abs(pl))))
+        pred_probs = ad.sigmoid(result.pred_logits_3d).data
     else:
         pred_probs = np.zeros((0, model.cfg.n_rel))
     return ScenePrediction(scene_id=sample.scene_id, object_probs=obj_probs,
@@ -227,20 +223,15 @@ def _predict_scene(model: ModelState, sample) -> ScenePrediction:
                            gt_predicate_rows=prepared.gt_pred_rows.astype(np.uint8))
 
 
-def predict_dump(model: ModelState, samples, vocab_hash: str, cfg_hash: str,
-                 workers: int = 1) -> PredictionDump:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scenes = list(pool.map(lambda s: _predict_scene(model, s), samples))
-    else:
-        scenes = [_predict_scene(model, s) for s in samples]
+def predict_dump(model: ModelState, samples, vocab_hash: str, cfg_hash: str) -> PredictionDump:
+    scenes = [_predict_scene(model, s) for s in samples]
     return PredictionDump(scenes=scenes, n_obj=model.cfg.n_obj, n_rel=model.cfg.n_rel,
                           vocab_hash=vocab_hash, config_hash=cfg_hash)
 
 
 def cmd_predict(args) -> int:
     dataset_dir = Path(args.dataset)
-    samples, vocab, manifest = read_dataset(dataset_dir, strict=args.strict)
+    samples, vocab, manifest = read_dataset(dataset_dir, strict=args.strict, splits=(args.split,))
     ck = Checkpoint.load(args.checkpoint)
     if ck.vocab_hash != vocab.content_hash():
         raise DataError("checkpoint vocabulary hash does not match the dataset")
@@ -249,7 +240,7 @@ def cmd_predict(args) -> int:
     if not chosen:
         raise DataError(f"no scenes in split {args.split!r}")
     dump = predict_dump(model, chosen, vocab.content_hash(),
-                        ck.payload.get("extra", {}).get("config_hash", ""), args.workers)
+                        ck.payload.get("extra", {}).get("config_hash", ""))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.jsonl"
@@ -337,7 +328,7 @@ def run_experiment_seed(base_dir: Path, seed: int, cfg: dict, args) -> dict:
                                        "tool_version": __version__})
         ck.save(mode_dir / "checkpoint.json")
         dump = predict_dump(model, val, vocab.content_hash(),
-                            config_hash(asdict(tc) | asdict(mc)), args.workers)
+                            config_hash(asdict(tc) | asdict(mc)))
         (mode_dir / "predictions.jsonl").write_text(dump_to_jsonl(dump, __version__), encoding="utf-8")
         report = evaluate(dump, predicate_splits=splits, train_triplets=train_triplets, cfg=ec)
         (mode_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1),
@@ -362,14 +353,12 @@ def cmd_experiment(args) -> int:
     for seed in seeds:
         per_seed[seed] = run_experiment_seed(out, seed, cfg, args)
 
-    table = []
     means = {"baseline": {}, "vlsat": {}}
     for name, path in EXPERIMENT_HEADLINES:
         for mode in ("baseline", "vlsat"):
             vals = [_metric_or_none(per_seed[s][mode], path) for s in seeds]
             vals = [v for v in vals if v is not None]
             means[mode][name] = sum(vals) / len(vals) if vals else None
-        table.append(name)
 
     lines = []
     header = f"{'metric':22s} " + " ".join(f"{f'seed {s}':>17s}" for s in seeds) + f" {'mean':>17s}"
@@ -418,21 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=False):
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--strict", action="store_true", default=True)
-        p.add_argument("--no-strict", dest="strict", action="store_false")
-        p.add_argument("--workers", type=int, default=1)
-        if dataset:
-            p.add_argument("--dataset", required=True, help="dataset directory")
-
     g = sub.add_parser("generate", help="generate a synthetic dataset")
-    common(g)
+    g.add_argument("--config", default=None, help="JSON config file")
+    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--out", required=True, help="output directory")
 
     t = sub.add_parser("train", help="train a model")
-    common(t, dataset=True)
+    t.add_argument("--config", default=None, help="JSON config file")
+    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--out", required=True, help="output directory")
+    t.add_argument("--strict", action="store_true", default=True)
+    t.add_argument("--no-strict", dest="strict", action="store_false")
+    t.add_argument("--dataset", required=True, help="dataset directory")
     t.add_argument("--vlsat", dest="vlsat", action="store_true", default=None,
                    help="train with the oracle branch (default)")
     t.add_argument("--no-vlsat", dest="vlsat", action="store_false",
@@ -441,19 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--resume", default=None, help="checkpoint to resume from")
 
     p = sub.add_parser("predict", help="dump 3D-branch predictions")
-    common(p, dataset=True)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--strict", action="store_true", default=True)
+    p.add_argument("--no-strict", dest="strict", action="store_false")
+    p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="validation", choices=("train", "validation"))
 
     e = sub.add_parser("eval", help="evaluate a prediction dump")
-    common(e)
+    e.add_argument("--config", default=None, help="JSON config file")
+    e.add_argument("--out", required=True, help="output directory")
     e.add_argument("--dump", required=True)
     e.add_argument("--manifest", required=True)
     e.add_argument("--k-list", default=None, help="comma-separated recall k values")
 
     x = sub.add_parser("experiment", help="baseline-vs-oracle-assisted comparison")
-    common(x)
-    x.add_argument("--k-list", default=None)
+    x.add_argument("--config", default=None, help="JSON config file")
+    x.add_argument("--seed", type=int, default=None)
+    x.add_argument("--out", required=True, help="output directory")
+    x.add_argument("--k-list", default=None, help="comma-separated recall k values")
     x.add_argument("--epochs", type=int, default=None)
     return parser
 

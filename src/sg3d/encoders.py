@@ -25,7 +25,8 @@ from .scene import InstanceAttributes
 EDGE_DESCRIPTOR_WIDTH = 11
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Uniform Glorot/Xavier init of a (fan_in, fan_out) weight matrix."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
@@ -33,11 +34,11 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 def init_point_mlp(rng: np.random.Generator, hidden: int, d: int) -> dict[str, Tensor]:
     """Shared per-point MLP 3 -> h -> h, max-pool, then h -> D."""
     return {
-        "w1": Tensor(_glorot(rng, 3, hidden), requires_grad=True),
+        "w1": Tensor(glorot(rng, 3, hidden), requires_grad=True),
         "b1": Tensor(np.zeros(hidden), requires_grad=True),
-        "w2": Tensor(_glorot(rng, hidden, hidden), requires_grad=True),
+        "w2": Tensor(glorot(rng, hidden, hidden), requires_grad=True),
         "b2": Tensor(np.zeros(hidden), requires_grad=True),
-        "w3": Tensor(_glorot(rng, hidden, d), requires_grad=True),
+        "w3": Tensor(glorot(rng, hidden, d), requires_grad=True),
         "b3": Tensor(np.zeros(d), requires_grad=True),
     }
 
@@ -45,16 +46,16 @@ def init_point_mlp(rng: np.random.Generator, hidden: int, d: int) -> dict[str, T
 def init_edge_mlp(rng: np.random.Generator, hidden: int, d: int) -> dict[str, Tensor]:
     """Edge MLP: linear(11 -> h), ReLU, linear(h -> D)."""
     return {
-        "w1": Tensor(_glorot(rng, EDGE_DESCRIPTOR_WIDTH, hidden), requires_grad=True),
+        "w1": Tensor(glorot(rng, EDGE_DESCRIPTOR_WIDTH, hidden), requires_grad=True),
         "b1": Tensor(np.zeros(hidden), requires_grad=True),
-        "w2": Tensor(_glorot(rng, hidden, d), requires_grad=True),
+        "w2": Tensor(glorot(rng, hidden, d), requires_grad=True),
         "b2": Tensor(np.zeros(d), requires_grad=True),
     }
 
 
 def init_visual_proj(rng: np.random.Generator, d_vis: int, d: int) -> dict[str, Tensor]:
     return {
-        "w": Tensor(_glorot(rng, d_vis, d), requires_grad=True),
+        "w": Tensor(glorot(rng, d_vis, d), requires_grad=True),
         "b": Tensor(np.zeros(d), requires_grad=True),
     }
 
@@ -100,18 +101,6 @@ def encode_edges(descriptors: np.ndarray, params: dict[str, Tensor]) -> Tensor:
         raise DimensionError(f"edge descriptors must have width {EDGE_DESCRIPTOR_WIDTH}")
     h = ad.relu(ad.linear(Tensor(descriptors), params["w1"], params["b1"]))
     return ad.linear(h, params["w2"], params["b2"])
-
-
-def encode_edge_3d(attr_i: InstanceAttributes, attr_j: InstanceAttributes,
-                   params: dict[str, Tensor]) -> Tensor:
-    """Single ordered pair -> (1, D) edge feature."""
-    return encode_edges(edge_descriptor(attr_i, attr_j)[None, :], params)
-
-
-def encode_node_oracle(visual_row: np.ndarray, params: dict[str, Tensor]) -> Tensor:
-    """Single visual feature row -> (1, D) oracle node feature."""
-    row = np.asarray(visual_row, dtype=np.float64).reshape(1, -1)
-    return encode_nodes_oracle(row, params)
 
 
 def encode_nodes_oracle(visual: np.ndarray, params: dict[str, Tensor]) -> Tensor:

@@ -227,8 +227,8 @@ def seen_unseen_report(dump: PredictionDump, train_triplets: set[tuple[int, int,
 # scene-level recall
 
 
-def _argmax_label(row: np.ndarray) -> int:
-    return int(np.argmax(row))  # first max = lowest class index on ties
+def _argmax(row: np.ndarray) -> int:
+    return int(np.argmax(row))  # first max = lowest index on ties
 
 
 def _scene_items(scene: ScenePrediction, task: str, predcls_ranking: str,
@@ -241,23 +241,19 @@ def _scene_items(scene: ScenePrediction, task: str, predcls_ranking: str,
         labels = scene.gt_objects.astype(np.intp)
         factors = np.ones(k)
     else:
-        labels = np.array([_argmax_label(r) for r in scene.object_probs], dtype=np.intp)
+        labels = np.array([_argmax(r) for r in scene.object_probs], dtype=np.intp)
         factors = np.array([scene.object_probs[i, labels[i]] for i in range(k)])
     items = []
     for e, (i, j) in enumerate(pairs):
         preds = scene.predicate_probs[e]
         if restricted:
-            p_best = _rank_one_predicate(preds)
+            p_best = _argmax(preds)
             items.append(((factors[i] * preds[p_best]) * factors[j], i, j, p_best))
         else:
             for p in range(len(preds)):
                 items.append(((factors[i] * preds[p]) * factors[j], i, j, p))
     items.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
     return items, labels, pairs
-
-
-def _rank_one_predicate(preds: np.ndarray) -> int:
-    return int(np.argmax(preds))  # first max = lowest predicate index on ties
 
 
 def _scene_recall_counts(scene: ScenePrediction, k: int, task: str, constraint: bool,
@@ -280,7 +276,7 @@ def _scene_recall_counts(scene: ScenePrediction, k: int, task: str, constraint: 
     matched = [0] * n_rel
     total = [0] * n_rel
     for e, (i, j) in enumerate(pairs):
-        top1 = _rank_one_predicate(scene.predicate_probs[e]) if constraint else -1
+        top1 = _argmax(scene.predicate_probs[e]) if constraint else -1
         for p in np.nonzero(scene.gt_predicate_rows[e])[0]:
             p = int(p)
             total[p] += 1

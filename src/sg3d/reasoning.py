@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders
 from .autodiff import Tensor
+from .encoders import glorot
 from .errors import ConfigError, DataError, DimensionError
 from .scene import (InstanceAttributes, SceneGraphSample, compute_attributes,
                     ordered_pairs, pair_index_arrays, predicate_gt_rows)
@@ -52,32 +53,26 @@ class ModelConfig:
 class GraphState:
     nodes: Tensor          # (K, D)
     edges: Tensor | None   # (E, D), None when K < 2
-    stream: str            # "3d" | "oracle"
 
 
 # ---------------------------------------------------------------------------
 # parameter construction
 
 
-def _glorot(rng, fan_in, fan_out):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
 def _attention_params(rng, d) -> dict[str, Tensor]:
     p = {}
     for name in ("q", "k", "v", "o"):
-        p[f"w{name}"] = Tensor(_glorot(rng, d, d), requires_grad=True)
+        p[f"w{name}"] = Tensor(glorot(rng, d, d), requires_grad=True)
         p[f"b{name}"] = Tensor(np.zeros(d), requires_grad=True)
     return p
 
 
 def _gnn_params(rng, d) -> dict[str, Tensor]:
     return {
-        "w_m": Tensor(_glorot(rng, 3 * d, d), requires_grad=True),
-        "w_g": Tensor(_glorot(rng, d, d), requires_grad=True),
-        "w_e": Tensor(_glorot(rng, d, d), requires_grad=True),
-        "w_n": Tensor(_glorot(rng, d, d), requires_grad=True),
+        "w_m": Tensor(glorot(rng, 3 * d, d), requires_grad=True),
+        "w_g": Tensor(glorot(rng, d, d), requires_grad=True),
+        "w_e": Tensor(glorot(rng, d, d), requires_grad=True),
+        "w_n": Tensor(glorot(rng, d, d), requires_grad=True),
     }
 
 
@@ -108,9 +103,9 @@ class ModelState:
                 for i in range(cfg.layers)
             },
             "head3d": {
-                "obj_w": Tensor(_glorot(rng, d, cfg.n_obj), requires_grad=True),
+                "obj_w": Tensor(glorot(rng, d, cfg.n_obj), requires_grad=True),
                 "obj_b": Tensor(np.zeros(cfg.n_obj), requires_grad=True),
-                "pred_w": Tensor(_glorot(rng, 3 * d, cfg.n_rel), requires_grad=True),
+                "pred_w": Tensor(glorot(rng, 3 * d, cfg.n_rel), requires_grad=True),
                 "pred_b": Tensor(np.zeros(cfg.n_rel), requires_grad=True),
             },
         }
@@ -121,9 +116,9 @@ class ModelState:
                 for i in range(cfg.layers)
             }
             tree["head_oracle"] = {
-                "obj_w": Tensor(_glorot(rng, d, cfg.n_obj), requires_grad=True),
+                "obj_w": Tensor(glorot(rng, d, cfg.n_obj), requires_grad=True),
                 "obj_b": Tensor(np.zeros(cfg.n_obj), requires_grad=True),
-                "pred_w": Tensor(_glorot(rng, 3 * d, cfg.n_rel), requires_grad=True),
+                "pred_w": Tensor(glorot(rng, 3 * d, cfg.n_rel), requires_grad=True),
                 "pred_b": Tensor(np.zeros(cfg.n_rel), requires_grad=True),
             }
             tree["collab"] = {
@@ -131,13 +126,13 @@ class ModelState:
                 for i in range(cfg.layers)
             }
             tree["mask_mlp"] = {
-                "w1": Tensor(_glorot(rng, 4, h), requires_grad=True),
+                "w1": Tensor(glorot(rng, 4, h), requires_grad=True),
                 "b1": Tensor(np.zeros(h), requires_grad=True),
-                "w2": Tensor(_glorot(rng, h, 1), requires_grad=True),
+                "w2": Tensor(glorot(rng, h, 1), requires_grad=True),
                 "b2": Tensor(np.zeros(1), requires_grad=True),
             }
             tree["fuse"] = {
-                "w": Tensor(_glorot(rng, 3 * d, cfg.d_emb), requires_grad=True),
+                "w": Tensor(glorot(rng, 3 * d, cfg.d_emb), requires_grad=True),
                 "b": Tensor(np.zeros(cfg.d_emb), requires_grad=True),
             }
         self.tree = tree
@@ -252,7 +247,7 @@ def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
     edges = ad.add(state.edges, ad.matmul(gm, params["w_e"]))
     pooled = ad.matmul(Tensor(avg_matrix), gm)
     nodes = ad.add(state.nodes, ad.matmul(pooled, params["w_n"]))
-    return GraphState(nodes=nodes, edges=edges, stream=state.stream)
+    return GraphState(nodes=nodes, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +300,10 @@ class ForwardResult:
     obj_logits_3d: Tensor
     pred_logits_3d: Tensor | None
     nodes0_3d: Tensor
-    oracle: bool = False
     obj_logits_oracle: Tensor | None = None
     pred_logits_oracle: Tensor | None = None
     nodes0_oracle: Tensor | None = None
     fused_triplets: Tensor | None = None
-    mask: Tensor | None = None
 
 
 def _triplet_features(nodes: Tensor, edges: Tensor, subj, obj) -> Tensor:
@@ -340,7 +333,6 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
     state_3d = GraphState(
         nodes=nodes0_3d,
         edges=encoders.encode_edges(scene.descriptors, model.subtree("enc3d", "edge")) if has_edges else None,
-        stream="3d",
     )
 
     state_or = None
@@ -350,7 +342,7 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
         nodes0_or = encoders.encode_nodes_oracle(scene.visual, model.subtree("enc_oracle", "proj"))
         # the oracle consumes the same geometric edge features; gradients from
         # its losses flow back into the shared edge encoder
-        state_or = GraphState(nodes=nodes0_or, edges=state_3d.edges, stream="oracle")
+        state_or = GraphState(nodes=nodes0_or, edges=state_3d.edges)
         mask = distance_mask(scene.attrs, model.subtree("mask_mlp"))
 
     for layer in range(cfg.layers):
@@ -381,7 +373,6 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
                            nodes0_3d=nodes0_3d)
     if joint:
         head_or = model.subtree("head_oracle")
-        result.oracle = True
         result.nodes0_oracle = nodes0_or
         result.obj_logits_oracle = ad.linear(state_or.nodes, head_or["obj_w"], head_or["obj_b"])
         if has_edges:
@@ -389,5 +380,4 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
             result.pred_logits_oracle = ad.linear(tri_or, head_or["pred_w"], head_or["pred_b"])
             fuse = model.subtree("fuse")
             result.fused_triplets = ad.linear(tri_or, fuse["w"], fuse["b"])
-        result.mask = mask
     return result

@@ -185,6 +185,8 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
         pts = np.asarray(inst["points"], dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise DataError(f"{where}: instance {iid} points must be a non-empty (n, 3) list")
+        if not np.all(np.isfinite(pts)):
+            raise DataError(f"{where}: instance {iid} points must be finite")
         instances.append(SceneInstance(instance_id=iid, points=pts, gt_class=cls))
 
     k = len(instances)
@@ -211,6 +213,8 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
         visual = np.asarray(record["visual_features"], dtype=np.float64)
         if visual.ndim != 2 or visual.shape[0] != k:
             raise DataError(f"{where}: visual_features must have one row per instance")
+        if not np.all(np.isfinite(visual)):
+            raise DataError(f"{where}: visual_features must be finite")
 
     return SceneGraphSample(scene_id=scene_id, split=split, instances=instances,
                             predicate_gt=gt, visual_features=visual)

@@ -314,6 +314,8 @@ def train(samples: list[SceneGraphSample], vocab: Vocabulary,
 
     model_cfg.joint = vlsat
     if resume is not None:
+        if resume.train_config.vlsat != vlsat:
+            raise ConfigError(f"cannot resume a vlsat={not vlsat} checkpoint with vlsat={vlsat}")
         model, optimizer, start_epoch = resume.restore()
     else:
         model = ModelState(model_cfg)

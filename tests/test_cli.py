@@ -1,9 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from sg3d.cli import main
+from sg3d.cli import build_parser, main
 from sg3d.metrics import dump_from_jsonl
 
 
@@ -101,6 +102,28 @@ class TestTrain:
         records = [json.loads(l) for l in (tmp_path / "r5" / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in records] == [3, 4]
 
+    def test_resume_across_modes_exit_code(self, workspace, tmp_path):
+        root, cfg = workspace
+        assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "b"),
+                     "--config", cfg, "--no-vlsat", "--epochs", "1"]) == 0
+        for ck, mode in ((root / "run" / "checkpoint.json", "--no-vlsat"),
+                         (tmp_path / "b" / "checkpoint.json", "--vlsat")):
+            assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "r"),
+                         "--config", cfg, mode, "--epochs", "5", "--resume", str(ck)]) == 2
+        assert not (tmp_path / "r" / "checkpoint.json").exists()
+
+    def test_non_finite_scene_value_exit_code(self, workspace, tmp_path):
+        root, cfg = workspace
+        ds = tmp_path / "ds"
+        shutil.copytree(root / "ds", ds)
+        lines = (ds / "train.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["visual_features"][0][0] = float("nan")
+        lines[0] = json.dumps(record)
+        (ds / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "r"),
+                     "--config", cfg]) == 3
+
 
 class TestPredict:
     def test_dump_scene_count_and_invariants(self, workspace):
@@ -118,12 +141,18 @@ class TestPredict:
         assert (root / "pred" / "predictions.jsonl").read_bytes() == \
             (tmp_path / "p2" / "predictions.jsonl").read_bytes()
 
-    def test_workers_same_output(self, workspace, tmp_path):
+    def test_reads_only_the_split_file(self, workspace, tmp_path):
         root, cfg = workspace
-        assert main(["predict", "--dataset", str(root / "ds"), "--out", str(tmp_path / "p4"),
-                     "--checkpoint", str(root / "run" / "checkpoint.json"), "--workers", "4"]) == 0
+        ds = tmp_path / "ds"
+        shutil.copytree(root / "ds", ds)
+        with open(ds / "train.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        assert main(["predict", "--dataset", str(ds), "--out", str(tmp_path / "p"),
+                     "--checkpoint", str(root / "run" / "checkpoint.json")]) == 0
         assert (root / "pred" / "predictions.jsonl").read_bytes() == \
-            (tmp_path / "p4" / "predictions.jsonl").read_bytes()
+            (tmp_path / "p" / "predictions.jsonl").read_bytes()
+        assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "r"),
+                     "--config", cfg]) == 3
 
     def test_vocab_mismatch_exit_code(self, workspace, tmp_path):
         root, cfg = workspace
@@ -207,6 +236,39 @@ class TestEval:
                 assert v == 1.0
         for k, v in report["triplet"]["A"].items():
             assert v == 1.0
+
+
+# flags a subcommand does not read; argparse must refuse each of them
+REMOVED_FLAGS = [
+    ("generate", ["--strict"]), ("generate", ["--no-strict"]), ("generate", ["--workers", "2"]),
+    ("train", ["--workers", "2"]),
+    ("predict", ["--config", "c.json"]), ("predict", ["--seed", "1"]),
+    ("predict", ["--workers", "2"]),
+    ("eval", ["--seed", "1"]), ("eval", ["--strict"]), ("eval", ["--no-strict"]),
+    ("eval", ["--workers", "2"]),
+    ("experiment", ["--strict"]), ("experiment", ["--no-strict"]),
+    ("experiment", ["--workers", "2"]),
+]
+
+REQUIRED_ARGS = {
+    "generate": ["--out", "o"],
+    "train": ["--out", "o", "--dataset", "d"],
+    "predict": ["--out", "o", "--dataset", "d", "--checkpoint", "c"],
+    "eval": ["--out", "o", "--dump", "d", "--manifest", "m"],
+    "experiment": ["--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                         ids=[f"{c} {f[0]}" for c, f in REMOVED_FLAGS])
+def test_removed_flag_is_refused(command, flag, capsys):
+    argv = [command] + REQUIRED_ARGS[command]
+    build_parser().parse_args(argv)
+    # parse only: were the flag accepted, main() would go on to run the command
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestExperimentSmoke:

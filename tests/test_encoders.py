@@ -4,8 +4,7 @@ import pytest
 from sg3d import autodiff as ad
 from sg3d.autodiff import Tensor
 from sg3d.errors import DimensionError
-from sg3d.encoders import (edge_descriptor, descriptor_matrix, encode_edge_3d,
-                           encode_edges, encode_node_3d, encode_node_oracle,
+from sg3d.encoders import (edge_descriptor, descriptor_matrix, encode_edges, encode_node_3d,
                            encode_nodes_oracle, init_edge_mlp, init_point_mlp,
                            init_visual_proj)
 from sg3d.scene import InstanceAttributes, SceneInstance, compute_attributes, ordered_pairs
@@ -94,7 +93,7 @@ class TestEdgeEncoder:
         rng = np.random.default_rng(6)
         params = init_edge_mlp(rng, 8, 4)
         a = rand_attrs(rng)
-        out = encode_edge_3d(a, a, params).data
+        out = encode_edges(descriptor_matrix([a, a], [(0, 1)]), params).data
         zero_out = encode_edges(np.zeros((1, 11)), params).data
         assert np.array_equal(out, zero_out)
 
@@ -122,14 +121,14 @@ class TestOracleEncoder:
     def test_zero_row_zero_bias(self):
         rng = np.random.default_rng(9)
         params = init_visual_proj(rng, 6, 4)
-        out = encode_node_oracle(np.zeros(6), params).data
+        out = encode_nodes_oracle(np.zeros(6)[None], params).data
         assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_identity_projection(self):
         params = {"w": Tensor(np.eye(4), requires_grad=True),
                   "b": Tensor(np.zeros(4), requires_grad=True)}
         row = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.array_equal(encode_node_oracle(row, params).data[0], row)
+        assert np.array_equal(encode_nodes_oracle(row[None], params).data[0], row)
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(10)

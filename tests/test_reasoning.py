@@ -198,7 +198,7 @@ class TestFatGnn:
     def test_k1_passthrough(self):
         rng = np.random.default_rng(11)
         params = _gnn_params(rng, 8)
-        state = GraphState(nodes=Tensor(rng.standard_normal((1, 8))), edges=None, stream="3d")
+        state = GraphState(nodes=Tensor(rng.standard_normal((1, 8))), edges=None)
         out = fat_gnn_layer(state, params, np.zeros(0, dtype=np.intp),
                             np.zeros(0, dtype=np.intp), np.zeros((1, 0)))
         assert out is state
@@ -214,7 +214,7 @@ class TestFatGnn:
             avg[i, e] = 0.5
         nodes = rng.standard_normal((3, 8))
         edges = rng.standard_normal((6, 8))
-        out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges), "3d"), params, subj, obj, avg)
+        out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges)), params, subj, obj, avg)
         assert np.array_equal(out.nodes.data, nodes)
         assert np.array_equal(out.edges.data, edges)
 
@@ -232,7 +232,7 @@ class TestFatGnn:
         we = rng.standard_normal((2, 4))
 
         def loss():
-            out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges), "3d"), params, subj, obj, avg)
+            out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges)), params, subj, obj, avg)
             return ad.add(ad.tsum(ad.mul(out.nodes, Tensor(wn))), ad.tsum(ad.mul(out.edges, Tensor(we))))
 
         check_params(loss, params, rng, rtol=1e-4)

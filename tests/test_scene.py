@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sg3d.errors import DataError
 from sg3d.scene import (EPS_BOX, SceneGraphSample, SceneInstance, Vocabulary,
@@ -179,6 +181,20 @@ class TestLoadSceneFile:
         with pytest.raises(DataError, match=r":2.*scene s0"):
             load_scene_file(path, make_vocab())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["points", "visual_features"])
+    def test_non_finite_rejected(self, tmp_path, field, value):
+        rec = well_formed_record() | {"visual_features": [[0.5, 1.0], [1.5, 2.0]]}
+        if field == "points":
+            rec["instances"][1]["points"][2][1] = value
+        else:
+            rec["visual_features"][1][0] = value
+        path = tmp_path / "scenes.jsonl"
+        write_lines(path, [rec])
+        assert ("NaN" if value != value else "Infinity") in path.read_text()
+        with pytest.raises(DataError, match=f"{field}.*finite"):
+            load_scene_file(path, make_vocab())
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         write_lines(path, [well_formed_record()])
@@ -211,3 +227,73 @@ def test_predicate_gt_rows_alignment():
     assert rows[pairs.index((0, 2)), 1] == 1
     assert rows[pairs.index((2, 1)), 0] == 1
     assert rows.sum() == 2
+
+
+# ---------------------------------------------------------------------------
+# properties of the scene file format
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def scenes(draw):
+    vocab = make_vocab(n_obj=5, n_rel=4)
+    k = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=k, max_size=k, unique=True))
+    instances = []
+    for iid in ids:
+        n = draw(st.integers(1, 4))
+        pts = np.array(draw(st.lists(FINITE, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+        instances.append(SceneInstance(iid, pts, draw(st.integers(0, vocab.n_obj - 1))))
+    gt = np.array(draw(st.lists(st.integers(0, 1), min_size=k * k * vocab.n_rel,
+                                max_size=k * k * vocab.n_rel)), dtype=np.uint8)
+    gt = gt.reshape(k, k, vocab.n_rel)
+    gt[np.arange(k), np.arange(k)] = 0
+    visual = None
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        visual = np.array(draw(st.lists(FINITE, min_size=k * width,
+                                        max_size=k * width))).reshape(k, width)
+    sample = SceneGraphSample(draw(st.text(min_size=1, max_size=8)),
+                              draw(st.sampled_from(["train", "validation"])), instances, gt, visual)
+    return sample, vocab
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@PROPERTY
+@given(scenes())
+def test_scene_file_round_trip_bitwise(tmp_path_factory, scene):
+    sample, vocab = scene
+    path = tmp_path_factory.mktemp("rt") / "s.jsonl"
+    save_scene_file(path, [sample])
+    (again,) = load_scene_file(path, vocab)
+    assert (again.scene_id, again.split) == (sample.scene_id, sample.split)
+    assert [(i.instance_id, i.gt_class) for i in again.instances] == \
+        [(i.instance_id, i.gt_class) for i in sample.instances]
+    for a, b in zip(again.instances, sample.instances):
+        assert np.array_equal(_bits(a.points), _bits(b.points))
+    assert np.array_equal(again.predicate_gt, sample.predicate_gt)
+    if sample.visual_features is None:
+        assert again.visual_features is None
+    else:
+        assert np.array_equal(_bits(again.visual_features), _bits(sample.visual_features))
+
+
+@PROPERTY
+@given(scenes(), st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data())
+def test_any_non_finite_coordinate_rejected(tmp_path_factory, scene, value, data):
+    sample, vocab = scene
+    targets = [inst.points for inst in sample.instances]
+    if sample.visual_features is not None:
+        targets.append(sample.visual_features)
+    target = data.draw(st.sampled_from(targets))
+    target[data.draw(st.integers(0, target.shape[0] - 1)),
+           data.draw(st.integers(0, target.shape[1] - 1))] = value
+    path = tmp_path_factory.mktemp("nf") / "s.jsonl"
+    save_scene_file(path, [sample])
+    with pytest.raises(DataError, match="finite"):
+        load_scene_file(path, vocab)

@@ -349,3 +349,14 @@ class TestCheckpoint:
         tc_more = TrainConfig(**{**tc.__dict__, "epochs": 5})
         _, _, logs = train(samples, vocab, provider, mc, tc_more, resume=ck)
         assert [r["epoch"] for r in logs] == [2, 3, 4]
+
+    @pytest.mark.parametrize("saved_vlsat", [True, False])
+    def test_resume_across_modes_refused(self, saved_vlsat):
+        samples, vocab, manifest = tiny_world()
+        provider = provider_from_manifest(manifest)
+        mc, tc = tiny_configs(vlsat=saved_vlsat, epochs=1)
+        model, opt, _ = train(samples, vocab, provider, mc, tc)
+        ck = Checkpoint.capture(model, opt, tc, next_epoch=1, vocab_hash=vocab.content_hash())
+        mc2, tc2 = tiny_configs(vlsat=not saved_vlsat, epochs=2)
+        with pytest.raises(ConfigError, match="vlsat"):
+            train(samples, vocab, provider, mc2, tc2, resume=ck)
