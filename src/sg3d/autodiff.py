@@ -3,8 +3,16 @@
 The engine is deliberately small: 2-D matmul, elementwise arithmetic with
 numpy-style broadcasting, the activations and reductions the model needs,
 softmax / log-softmax with exact Jacobian-vector products, concatenation,
-row gathering and layer norm. Ops record a backward closure on the active
-tape; replaying the tape in reverse accumulates exact adjoints.
+row gathering and layer norm. Two fused ops carry the model's hot paths:
+
+- `attention(q, k, v, heads, mask)`: every head of a multi-head scaled
+  dot-product attention in one op, over (..., H, N, dh) stacks, with a
+  hand-written softmax backward;
+- `segment_max(x, starts)`: a max-pool over each run of rows, so a
+  shared point MLP can run once over the stacked points of all instances.
+
+Ops record a backward closure on the active tape; replaying the tape in
+reverse accumulates exact adjoints.
 
 Values are float64 throughout so that finite-difference gradient checks
 are meaningful. Every op output is checked for NaN/Inf and raises
@@ -372,6 +380,34 @@ def amax(a, axis: int, keepdims: bool = False) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
+def segment_max(x, starts) -> Tensor:
+    """Max over each run of rows of a 2-D tensor: out[s] = max(x[starts[s]:starts[s+1]]).
+
+    The last run ends at the last row; starts must rise strictly from 0. The
+    gradient routes to the first argmax per run and column, like `amax`.
+    """
+    x = as_tensor(x)
+    starts = np.asarray(starts, dtype=np.intp)
+    if x.data.ndim != 2:
+        raise DimensionError("segment_max expects a 2-D tensor")
+    n = x.data.shape[0]
+    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or np.any(np.diff(starts) <= 0) \
+            or starts[-1] >= n:
+        raise DimensionError(f"segment starts must rise strictly from 0 below {n}, got {starts}")
+    out = np.maximum.reduceat(x.data, starts, axis=0)
+
+    def backward(g):
+        lengths = np.diff(np.append(starts, n))
+        hit = x.data == np.repeat(out, lengths, axis=0)
+        rows = np.where(hit, np.arange(n)[:, None], n)
+        first = np.minimum.reduceat(rows, starts, axis=0)
+        gx = np.zeros_like(x.data)
+        gx[first, np.arange(x.data.shape[1])] = g
+        _accumulate(x, gx)
+
+    return _from_op(out, (x,), backward)
+
+
 # ---------------------------------------------------------------------------
 # softmax family
 
@@ -403,6 +439,68 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         _accumulate(a, g - y * g.sum(axis=axis, keepdims=True))
 
     return _from_op(out, (a,), backward)
+
+
+def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op.
+
+    q is (..., N, D); k and v are (..., M, D). The D columns split into
+    `heads` contiguous blocks of width dh, and each block attends over
+    (..., H, N, dh) stacks with logits q k^T / sqrt(dh). A mask, when given,
+    broadcasts against the (..., H, N, M) logits and is added before the
+    softmax. Returns the heads' outputs side by side, (..., N, D). With
+    `collect_weights`, one constant (N, M) Tensor per head is appended.
+
+    The backward is the softmax JVP of `softmax`, applied to every head at
+    once (the FlashAttention backward without the tiling).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    n, d = q.data.shape[-2:]
+    m = k.data.shape[-2]
+    if k.data.shape[-1] != d or v.data.shape != k.data.shape:
+        raise DimensionError(f"attention shapes disagree: q {q.data.shape}, k {k.data.shape}, "
+                             f"v {v.data.shape}")
+    if heads < 1 or d % heads != 0:
+        raise DimensionError(f"heads ({heads}) must divide feature width ({d})")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x):
+        # (..., N, D) -> (..., H, N, dh) view
+        return np.swapaxes(x.reshape(*x.shape[:-1], heads, dh), -2, -3)
+
+    def merge(x):
+        # (..., H, N, dh) -> (..., N, D)
+        return np.swapaxes(x, -2, -3).reshape(*x.shape[:-3], x.shape[-2], d)
+
+    # contiguous head blocks: numpy's gemv path (a single query or key row)
+    # sums in a stride-dependent order, and copies keep it that of a 2-D head
+    qh, vh = np.ascontiguousarray(split(q.data)), np.ascontiguousarray(split(v.data))
+    kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))  # (..., H, dh, M)
+    logits = (qh @ kt) * scale
+    if mask is not None:
+        mask = as_tensor(mask)
+        logits = logits + mask.data
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    w = e / e.sum(axis=-1, keepdims=True)
+    if collect_weights is not None:
+        collect_weights.extend(Tensor(wh) for wh in w.reshape(-1, n, m))
+
+    def backward(g):
+        gh = split(g)
+        gw = gh @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(w, -1, -2) @ gh
+        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        if mask is not None:
+            _accumulate(mask, _unbroadcast(gl, mask.data.shape))
+        gs = gl * scale
+        _accumulate(q, merge(gs @ np.swapaxes(kt, -1, -2)))
+        _accumulate(k, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
+        _accumulate(v, merge(gv))
+
+    inputs = (q, k, v) if mask is None else (q, k, v, mask)
+    return _from_op(merge(w @ vh), inputs, backward)
 
 
 # ---------------------------------------------------------------------------

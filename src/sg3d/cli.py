@@ -147,7 +147,7 @@ def read_dataset(dataset_dir: Path, strict: bool = True, splits=("train", "valid
     for split in splits:
         path = dataset_dir / f"{split}.jsonl"
         if path.exists():
-            samples.extend(load_scene_file(path, vocab, strict=strict))
+            samples.extend(load_scene_file(path, vocab, strict=strict, split=split))
     return samples, vocab, manifest
 
 
@@ -189,8 +189,7 @@ def cmd_train(args) -> int:
 
     log_path = out / "train_log.jsonl"
     mode = "oracle-assisted" if tc.vlsat else "baseline"
-    log.info("training %s model for %d epochs on %d scenes", mode, tc.epochs,
-             sum(1 for s in samples if s.split == "train"))
+    log.info("training %s model for %d epochs on %d scenes", mode, tc.epochs, len(samples))
     with open(log_path, "a" if args.resume else "w", encoding="utf-8") as fh:
         def hook(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -236,10 +235,9 @@ def cmd_predict(args) -> int:
     if ck.vocab_hash != vocab.content_hash():
         raise DataError("checkpoint vocabulary hash does not match the dataset")
     model, _, _ = ck.restore()
-    chosen = [s for s in samples if s.split == args.split]
-    if not chosen:
+    if not samples:
         raise DataError(f"no scenes in split {args.split!r}")
-    dump = predict_dump(model, chosen, vocab.content_hash(),
+    dump = predict_dump(model, samples, vocab.content_hash(),
                         ck.payload.get("extra", {}).get("config_hash", ""))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

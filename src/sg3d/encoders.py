@@ -60,39 +60,48 @@ def init_visual_proj(rng: np.random.Generator, d_vis: int, d: int) -> dict[str, 
     }
 
 
-def encode_node_3d(points: np.ndarray, params: dict[str, Tensor]) -> Tensor:
-    """Instance point set (n, 3) -> (1, D) feature via shared MLP + max-pool."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise DataError("point set must be a non-empty (n, 3) array")
-    h = ad.relu(ad.linear(Tensor(pts), params["w1"], params["b1"]))
-    h = ad.relu(ad.linear(h, params["w2"], params["b2"]))
-    pooled = ad.amax(h, axis=0, keepdims=True)
-    return ad.linear(pooled, params["w3"], params["b3"])
-
-
 def encode_nodes_3d(point_sets: list[np.ndarray], params: dict[str, Tensor]) -> Tensor:
-    """All instances of a scene -> (K, D)."""
-    return ad.concat([encode_node_3d(p, params) for p in point_sets], axis=0)
+    """All instances of a scene -> (K, D).
+
+    The shared per-point MLP runs once over the stacked points of all K
+    instances; a segment max then pools each instance's rows.
+    """
+    sizes = []
+    for pts in point_sets:
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+            raise DataError("point set must be a non-empty (n, 3) array")
+        sizes.append(pts.shape[0])
+    starts = np.cumsum([0] + sizes[:-1])
+    h = ad.relu(ad.linear(Tensor(np.concatenate(point_sets)), params["w1"], params["b1"]))
+    h = ad.relu(ad.linear(h, params["w2"], params["b2"]))
+    return ad.linear(ad.segment_max(h, starts), params["w3"], params["b3"])
 
 
 def edge_descriptor(attr_i: InstanceAttributes, attr_j: InstanceAttributes) -> np.ndarray:
     """Raw 11-dim pair descriptor; exactly antisymmetric under (i, j) swap."""
-    out = np.empty(EDGE_DESCRIPTOR_WIDTH)
-    out[0:3] = attr_i.mean - attr_j.mean
-    out[3:6] = attr_i.std - attr_j.std
-    out[6:9] = attr_i.bbox_size - attr_j.bbox_size
-    out[9] = np.log(attr_i.max_side) - np.log(attr_j.max_side)
-    out[10] = np.log(attr_i.volume) - np.log(attr_j.volume)
-    if not np.all(np.isfinite(out)):
-        raise DataError("non-finite edge descriptor (degenerate attributes?)")
-    return out
+    return descriptor_matrix([attr_i, attr_j], [(0, 1)])[0]
 
 
 def descriptor_matrix(attrs: list[InstanceAttributes], pairs: list[tuple[int, int]]) -> np.ndarray:
+    """(E, 11) descriptors of the listed ordered pairs, in their order.
+
+    Each instance's row (mean, std, extent, log max side, log volume) is
+    built once; a descriptor is the difference of two rows, so swapping a
+    pair negates it bitwise.
+    """
     if not pairs:
         return np.zeros((0, EDGE_DESCRIPTOR_WIDTH))
-    return np.stack([edge_descriptor(attrs[i], attrs[j]) for i, j in pairs])
+    rows = np.concatenate([
+        np.stack([a.mean for a in attrs]),
+        np.stack([a.std for a in attrs]),
+        np.stack([a.bbox_size for a in attrs]),
+        np.log(np.array([[a.max_side, a.volume] for a in attrs])),
+    ], axis=1)
+    subj, obj = np.asarray(pairs, dtype=np.intp).T
+    out = rows[subj] - rows[obj]
+    if not np.all(np.isfinite(out)):
+        raise DataError("non-finite edge descriptor (degenerate attributes?)")
+    return out
 
 
 def encode_edges(descriptors: np.ndarray, params: dict[str, Tensor]) -> Tensor:

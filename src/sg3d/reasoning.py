@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import encoders
 from .autodiff import Tensor
 from .encoders import glorot
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError
 from .scene import (InstanceAttributes, SceneGraphSample, compute_attributes,
                     ordered_pairs, pair_index_arrays, predicate_gt_rows)
 
@@ -157,12 +157,6 @@ class ModelState:
 # reasoning ops
 
 
-def _heads(x: Tensor, n_heads: int) -> list[Tensor]:
-    d = x.data.shape[1]
-    dh = d // n_heads
-    return [ad.narrow(x, 1, h * dh, dh) for h in range(n_heads)]
-
-
 def multi_head_attention(query_stream: Tensor, kv_stream: Tensor, params: dict[str, Tensor],
                          n_heads: int, mask: Tensor | None = None,
                          collect_weights: list | None = None) -> Tensor:
@@ -170,25 +164,10 @@ def multi_head_attention(query_stream: Tensor, kv_stream: Tensor, params: dict[s
 
     The mask, when given, is added to the pre-softmax logits of every head.
     """
-    d = query_stream.data.shape[1]
-    if kv_stream.data.shape[1] != d:
-        raise DimensionError("query and key/value streams must share feature width")
-    if d % n_heads != 0:
-        raise DimensionError("heads must divide feature width")
     q = ad.linear(query_stream, params["wq"], params["bq"])
     k = ad.linear(kv_stream, params["wk"], params["bk"])
     v = ad.linear(kv_stream, params["wv"], params["bv"])
-    scale = 1.0 / np.sqrt(d / n_heads)
-    outs = []
-    for qh, kh, vh in zip(_heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)):
-        logits = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-        if mask is not None:
-            logits = ad.add(logits, mask)
-        attn = ad.softmax(logits, axis=1)
-        if collect_weights is not None:
-            collect_weights.append(attn)
-        outs.append(ad.matmul(attn, vh))
-    merged = ad.concat(outs, axis=1)
+    merged = ad.attention(q, k, v, n_heads, mask=mask, collect_weights=collect_weights)
     return ad.add(query_stream, ad.linear(merged, params["wo"], params["bo"]))
 
 
@@ -278,8 +257,7 @@ def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
     subj, obj = pair_index_arrays(k)
     avg = np.zeros((k, len(pairs)))
     if k > 1:
-        for e, (i, _) in enumerate(pairs):
-            avg[i, e] = 1.0 / (k - 1)
+        avg[subj, np.arange(len(pairs))] = 1.0 / (k - 1)
     return PreparedScene(
         point_sets=[inst.points for inst in sample.instances],
         attrs=attrs,

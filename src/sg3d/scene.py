@@ -220,8 +220,14 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
                             predicate_gt=gt, visual_features=visual)
 
 
-def load_scene_file(path, vocab: Vocabulary, strict: bool = True) -> list[SceneGraphSample]:
-    """Parse and validate a JSON-lines scene file against a vocabulary."""
+def load_scene_file(path, vocab: Vocabulary, strict: bool = True,
+                    split: str | None = None) -> list[SceneGraphSample]:
+    """Parse and validate a JSON-lines scene file against a vocabulary.
+
+    With `split`, every scene's split field must equal it: commands pick a
+    split by its file, and a field that disagrees is a data error rather
+    than a scene that silently drops out.
+    """
     samples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -233,7 +239,11 @@ def load_scene_file(path, vocab: Vocabulary, strict: bool = True) -> list[SceneG
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{where}: malformed JSON ({e})") from e
-            samples.append(_parse_scene(record, vocab, where, strict))
+            sample = _parse_scene(record, vocab, where, strict)
+            if split is not None and sample.split != split:
+                raise DataError(f"{where} (scene {sample.scene_id}): split {sample.split!r} "
+                                f"in the {split} file")
+            samples.append(sample)
     return samples
 
 
@@ -252,13 +262,13 @@ def scene_to_record(sample: SceneGraphSample) -> dict:
         "split": sample.split,
         "instances": [
             {"id": inst.instance_id, "class": inst.gt_class,
-             "points": [[float(c) for c in row] for row in inst.points]}
+             "points": inst.points.tolist()}
             for inst in sample.instances
         ],
         "relations": relations,
     }
     if sample.visual_features is not None:
-        record["visual_features"] = [[float(c) for c in row] for row in sample.visual_features]
+        record["visual_features"] = sample.visual_features.tolist()
     return record
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .scene import (SceneGraphSample, SceneInstance, Vocabulary,
-                    compute_attributes, ordered_pairs, split_predicates)
+                    compute_attributes, ordered_pairs, pair_index_arrays, split_predicates)
 
 log = logging.getLogger("sg3d")
 
@@ -523,17 +523,21 @@ def _cv_balanced_acc(x: np.ndarray, y: np.ndarray, folds: int = 5) -> float:
 
 def _pair_features(scene: _RawScene) -> tuple[np.ndarray, np.ndarray]:
     """Geometry-only and latent feature rows for every ordered pair."""
-    from .encoders import edge_descriptor
+    from .encoders import descriptor_matrix
 
-    k = len(scene.instances)
-    geo, lat = [], []
-    for i, j in ordered_pairs(k):
-        ai, aj = scene.attrs[i], scene.attrs[j]
-        desc = edge_descriptor(ai, aj)
-        dist = float(np.linalg.norm(ai.mean - aj.mean))
-        geo.append(np.concatenate([desc, [dist], ai.bbox_size, aj.bbox_size, ai.std, aj.std]))
-        lat.append(np.concatenate([scene.visual[i], scene.visual[j]]))
-    return np.asarray(geo), np.asarray(lat)
+    pairs = ordered_pairs(len(scene.instances))
+    subj, obj = pair_index_arrays(len(scene.instances))
+    attrs = scene.attrs
+    mean = np.stack([a.mean for a in attrs])
+    size = np.stack([a.bbox_size for a in attrs])
+    std = np.stack([a.std for a in attrs])
+    diff = (mean[subj] - mean[obj])[:, None, :]
+    # one dot per pair, as np.linalg.norm takes it, so the audit keeps its bits
+    dist = np.sqrt(diff @ np.swapaxes(diff, 1, 2))[:, 0]
+    geo = np.concatenate([descriptor_matrix(attrs, pairs), dist, size[subj], size[obj],
+                          std[subj], std[obj]], axis=1)
+    lat = np.concatenate([scene.visual[subj], scene.visual[obj]], axis=1)
+    return geo, lat
 
 
 def separability_audit(cfg: WorldConfig, scenes: list[_RawScene], gts: dict[str, list[np.ndarray]]) -> dict:

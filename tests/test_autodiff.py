@@ -246,3 +246,126 @@ def test_tape_reuse_rejected():
         with pytest.raises(ContractError):
             Tape().__enter__()
     assert ad.active_tape() is None
+
+
+# ---------------------------------------------------------------------------
+# fused ops
+
+# (query rows N, key rows M, heads, masked); D = 8 throughout
+ATTENTION_CASES = [
+    (3, 3, 1, False), (3, 3, 2, True), (4, 4, 4, False), (4, 4, 4, True),   # self
+    (2, 5, 2, False), (5, 2, 4, True), (3, 7, 1, True), (4, 1, 2, False),   # cross
+    (1, 4, 2, True), (1, 1, 1, False), (1, 1, 2, True), (1, 1, 4, False),   # N = 1, K = 1
+]
+
+
+@pytest.mark.parametrize("n,m,heads,masked", ATTENTION_CASES)
+def test_attention_gradients(n, m, heads, masked):
+    rng = np.random.default_rng(700 + 10 * n + m + heads)
+    q, k, v = param(rng, n, 8), param(rng, m, 8), param(rng, m, 8)
+    params = {"q": q, "k": k, "v": v}
+    if masked:
+        params["mask"] = param(rng, n, m)
+    weights = rng.standard_normal((n, 8))
+
+    def loss():
+        out = ad.attention(q, k, v, heads, mask=params.get("mask"))
+        return ad.tsum(ad.mul(out, Tensor(weights)))
+
+    check_params(loss, params, rng, rtol=RTOL)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_batch_axis_gradients(masked):
+    rng = np.random.default_rng(750 + masked)
+    q, k, v = param(rng, 2, 3, 8), param(rng, 2, 4, 8), param(rng, 2, 4, 8)
+    params = {"q": q, "k": k, "v": v}
+    if masked:
+        params["mask"] = param(rng, 2, 1, 3, 4)  # per batch entry, shared by the heads
+    weights = rng.standard_normal((2, 3, 8))
+
+    def loss():
+        out = ad.attention(q, k, v, 2, mask=params.get("mask"))
+        return ad.tsum(ad.mul(out, Tensor(weights)))
+
+    check_params(loss, params, rng, rtol=RTOL)
+
+
+def test_attention_batch_axis_equals_per_entry():
+    rng = np.random.default_rng(760)
+    q, k, v = (rng.standard_normal((3, n, 8)) for n in (4, 5, 5))
+    mask = rng.standard_normal((3, 1, 4, 5))
+    batched = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4, mask=Tensor(mask)).data
+    for b in range(3):
+        one = ad.attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 4, mask=Tensor(mask[b, 0]))
+        assert np.array_equal(batched[b], one.data)
+
+
+def test_attention_hand_case_per_head():
+    rng = np.random.default_rng(761)
+    q, k, v = rng.standard_normal((3, 6)), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+    weights = []
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, collect_weights=weights).data
+    assert len(weights) == 3
+    for h, cols in enumerate((slice(0, 2), slice(2, 4), slice(4, 6))):
+        logits = q[:, cols] @ k[:, cols].T / np.sqrt(2.0)
+        attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+        attn /= attn.sum(axis=1, keepdims=True)
+        assert np.allclose(weights[h].data, attn, atol=1e-14)
+        assert np.allclose(out[:, cols], attn @ v[:, cols], atol=1e-14)
+
+
+def test_attention_shape_errors():
+    x = Tensor(np.zeros((3, 8)))
+    with pytest.raises(DimensionError):
+        ad.attention(x, x, x, 3)
+    with pytest.raises(DimensionError):
+        ad.attention(x, Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))), 2)
+
+
+@pytest.mark.parametrize("lengths", [(1,), (3,), (1, 1, 1), (2, 1, 4), (5, 1), (1, 6, 2, 1)])
+def test_segment_max_gradients(lengths):
+    rng = np.random.default_rng(800 + sum(lengths) + len(lengths))
+    x = param(rng, sum(lengths), 4)
+    starts = np.cumsum((0,) + lengths[:-1])
+    weights = rng.standard_normal((len(lengths), 4))
+
+    def loss():
+        return ad.tsum(ad.mul(ad.segment_max(x, starts), Tensor(weights)))
+
+    check_params(loss, {"x": x}, rng, rtol=RTOL)
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_segment_max_matches_amax_with_ties(trial):
+    # small integers make ties common; the gradient must go to the first
+    # argmax of each segment and column, exactly as amax routes it
+    rng = np.random.default_rng(820 + trial)
+    lengths = rng.integers(1, 6, size=int(rng.integers(1, 6)))
+    x = Tensor(rng.integers(0, 3, size=(int(lengths.sum()), 5)).astype(np.float64),
+               requires_grad=True)
+    starts = np.cumsum(np.concatenate([[0], lengths[:-1]]))
+    weights = Tensor(rng.standard_normal((len(lengths), 5)))
+
+    def grad_of(fn):
+        x.zero_grad()
+        with Tape() as tape:
+            out = fn()
+            tape.backward(ad.tsum(ad.mul(out, weights)))
+        return out.data, x.grad.copy()
+
+    def per_segment():
+        return ad.concat([ad.amax(ad.narrow(x, 0, int(s), int(n)), axis=0, keepdims=True)
+                          for s, n in zip(starts, lengths)], axis=0)
+
+    fused, g_fused = grad_of(lambda: ad.segment_max(x, starts))
+    ref, g_ref = grad_of(per_segment)
+    assert np.array_equal(fused, ref)
+    assert np.array_equal(g_fused, g_ref)
+
+
+def test_segment_max_rejects_bad_starts():
+    x = Tensor(np.zeros((4, 2)))
+    for starts in ([1, 2], [0, 2, 2], [0, 3, 1], [0, 4], []):
+        with pytest.raises(DimensionError):
+            ad.segment_max(x, starts)

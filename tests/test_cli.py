@@ -125,6 +125,31 @@ class TestTrain:
                      "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_split_field_mismatch_exit_code(workspace, tmp_path, caplog, command):
+    # a scene's split field must agree with its file: training keeps only
+    # train-labelled scenes, and predict reads one file, so the relabelled
+    # scene would otherwise silently fall out of both splits
+    root, cfg = workspace
+    ds = tmp_path / "ds"
+    shutil.copytree(root / "ds", ds)
+    lines = (ds / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["split"] = "validation"
+    lines[0] = json.dumps(record)
+    (ds / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if command == "train":
+        argv = ["train", "--dataset", str(ds), "--out", str(tmp_path / "r"), "--config", cfg]
+    else:
+        argv = ["predict", "--dataset", str(ds), "--out", str(tmp_path / "p"), "--split", "train",
+                "--checkpoint", str(root / "run" / "checkpoint.json")]
+    assert main(argv) == 3
+    message = caplog.records[-1].getMessage()
+    assert f"train.jsonl:1 (scene {record['scene_id']})" in message and "'validation'" in message
+    assert not (tmp_path / "r" / "train_log.jsonl").exists()
+    assert not (tmp_path / "p" / "predictions.jsonl").exists()
+
+
 class TestPredict:
     def test_dump_scene_count_and_invariants(self, workspace):
         root, cfg = workspace

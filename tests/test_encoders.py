@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sg3d import autodiff as ad
 from sg3d.autodiff import Tensor
-from sg3d.errors import DimensionError
-from sg3d.encoders import (edge_descriptor, descriptor_matrix, encode_edges, encode_node_3d,
+from sg3d.errors import DataError, DimensionError
+from sg3d.encoders import (edge_descriptor, descriptor_matrix, encode_edges, encode_nodes_3d,
                            encode_nodes_oracle, init_edge_mlp, init_point_mlp,
                            init_visual_proj)
 from sg3d.scene import InstanceAttributes, SceneInstance, compute_attributes, ordered_pairs
 
-from gradcheck import check_params
+from gradcheck import analytic_grads, check_params
 
 
 def rand_attrs(rng):
@@ -27,16 +29,16 @@ class TestNodeEncoder:
         rng = np.random.default_rng(0)
         params = init_point_mlp(rng, 8, 4)
         pts = rng.standard_normal((10, 3))
-        a = encode_node_3d(pts, params).data
-        b = encode_node_3d(pts[rng.permutation(10)], params).data
+        a = encode_nodes_3d([pts], params).data
+        b = encode_nodes_3d([pts[rng.permutation(10)]], params).data
         assert np.array_equal(a, b)
 
     def test_maxpool_idempotent_on_repeats(self):
         rng = np.random.default_rng(1)
         params = init_point_mlp(rng, 8, 4)
         p = rng.standard_normal((1, 3))
-        once = encode_node_3d(p, params).data
-        five = encode_node_3d(np.repeat(p, 5, axis=0), params).data
+        once = encode_nodes_3d([p], params).data
+        five = encode_nodes_3d([np.repeat(p, 5, axis=0)], params).data
         assert np.array_equal(once, five)
 
     def test_gradient_vs_fd(self):
@@ -46,9 +48,72 @@ class TestNodeEncoder:
         weights = rng.standard_normal((1, 4))
 
         def loss():
-            return ad.tsum(ad.mul(encode_node_3d(pts, params), Tensor(weights)))
+            return ad.tsum(ad.mul(encode_nodes_3d([pts], params), Tensor(weights)))
 
         check_params(loss, params, rng, rtol=1e-4)
+
+
+def per_instance_encoder(point_sets, params):
+    """Reference composite: the point MLP and an `amax` pool per instance.
+
+    The row-wise output projection runs once on the stacked pooled rows:
+    numpy sends a one-row product to gemv, whose summation order differs
+    from gemm's, so projecting row by row would not be a bitwise reference.
+    A one-point instance's first layer is such a product too, which is why
+    the bitwise test gives every instance at least two points.
+    """
+    pooled = []
+    for pts in point_sets:
+        h = ad.relu(ad.linear(Tensor(pts), params["w1"], params["b1"]))
+        h = ad.relu(ad.linear(h, params["w2"], params["b2"]))
+        pooled.append(ad.amax(h, axis=0, keepdims=True))
+    return ad.linear(ad.concat(pooled, axis=0), params["w3"], params["b3"])
+
+
+class TestPackedNodeEncoder:
+    def random_scene(self, rng, min_points=1):
+        k = int(rng.integers(1, 10))
+        return [rng.standard_normal((int(rng.integers(min_points, 40)), 3)) for _ in range(k)]
+
+    def test_forward_matches_per_instance_bitwise(self):
+        rng = np.random.default_rng(20)
+        for trial in range(30):
+            params = init_point_mlp(rng, 64, 32)
+            point_sets = self.random_scene(rng, min_points=2)
+            assert np.array_equal(encode_nodes_3d(point_sets, params).data,
+                                  per_instance_encoder(point_sets, params).data)
+
+    def test_gradients_match_per_instance(self):
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            params = init_point_mlp(rng, 64, 32)
+            for p in params.values():
+                p.data = rng.standard_normal(p.data.shape) * 0.3
+            point_sets = self.random_scene(rng)
+            weights = Tensor(rng.standard_normal((len(point_sets), 32)))
+            packed = analytic_grads(
+                lambda: ad.tsum(ad.mul(encode_nodes_3d(point_sets, params), weights)), params)
+            ref = analytic_grads(
+                lambda: ad.tsum(ad.mul(per_instance_encoder(point_sets, params), weights)), params)
+            scale = max(float(np.abs(g).max()) for g in ref.values())
+            for name in params:
+                assert np.abs(packed[name] - ref[name]).max() <= 1e-12 * scale, name
+
+    def test_gradient_vs_fd_several_instances(self):
+        rng = np.random.default_rng(22)
+        params = init_point_mlp(rng, 6, 4)
+        point_sets = [rng.standard_normal((n, 3)) for n in (1, 5, 3)]
+        weights = rng.standard_normal((3, 4))
+
+        def loss():
+            return ad.tsum(ad.mul(encode_nodes_3d(point_sets, params), Tensor(weights)))
+
+        check_params(loss, params, rng, rtol=1e-4)
+
+    def test_empty_point_set_rejected(self):
+        params = init_point_mlp(np.random.default_rng(23), 4, 4)
+        with pytest.raises(DataError):
+            encode_nodes_3d([np.zeros((2, 3)), np.zeros((0, 3))], params)
 
 
 class TestEdgeDescriptor:
@@ -146,3 +211,27 @@ class TestOracleEncoder:
             return ad.tsum(ad.mul(encode_nodes_oracle(rows, params), Tensor(weights)))
 
         check_params(loss, params, rng, rtol=1e-4)
+
+
+COORD = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def instance_attributes(draw):
+    k = draw(st.integers(2, 7))
+    attrs = []
+    for _ in range(k):
+        n = draw(st.integers(1, 6))
+        pts = np.array(draw(st.lists(COORD, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+        attrs.append(compute_attributes(SceneInstance(0, pts, 0)))
+    return attrs
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_attributes())
+def test_descriptor_matrix_antisymmetric_and_rowwise(attrs):
+    pairs = ordered_pairs(len(attrs))
+    mat = descriptor_matrix(attrs, pairs)
+    for e, (i, j) in enumerate(pairs):
+        assert np.array_equal(mat[e], edge_descriptor(attrs[i], attrs[j]))
+        assert np.array_equal(mat[e], -mat[pairs.index((j, i))])

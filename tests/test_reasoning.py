@@ -11,7 +11,7 @@ from sg3d.reasoning import (GraphState, ModelConfig, ModelState, distance_mask,
 from sg3d.scene import (SceneGraphSample, SceneInstance, compute_attributes,
                         ordered_pairs, pair_index_arrays)
 
-from gradcheck import check_directional, check_params
+from gradcheck import analytic_grads, check_directional, check_params
 
 
 def small_model(joint=True, k_seed=0, **kw):
@@ -39,6 +39,56 @@ def make_sample(rng, k=3, n_rel=3, with_visual=True, d_vis=6):
     visual = rng.standard_normal((k, d_vis)) if with_visual else None
     return SceneGraphSample(scene_id="t", split="train", instances=instances,
                             predicate_gt=gt, visual_features=visual)
+
+
+def per_head_attention(query_stream, kv_stream, params, n_heads, mask=None, collect_weights=None):
+    """Reference composite of `multi_head_attention`: one narrow, transpose,
+    matmul and softmax chain per head, then a concat."""
+    d = query_stream.data.shape[1]
+    dh = d // n_heads
+    q = ad.linear(query_stream, params["wq"], params["bq"])
+    k = ad.linear(kv_stream, params["wk"], params["bk"])
+    v = ad.linear(kv_stream, params["wv"], params["bv"])
+    outs = []
+    for h in range(n_heads):
+        qh, kh, vh = (ad.narrow(x, 1, h * dh, dh) for x in (q, k, v))
+        logits = ad.mul(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
+        if mask is not None:
+            logits = ad.add(logits, mask)
+        attn = ad.softmax(logits, axis=1)
+        if collect_weights is not None:
+            collect_weights.append(attn)
+        outs.append(ad.matmul(attn, vh))
+    merged = ad.concat(outs, axis=1)
+    return ad.add(query_stream, ad.linear(merged, params["wo"], params["bo"]))
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_per_head_reference(self, heads):
+        rng = np.random.default_rng(30 + heads)
+        for trial in range(20):
+            params = _attention_params(rng, 8)
+            n = int(rng.integers(1, 10))
+            m = n if trial % 2 else int(rng.integers(1, 73))
+            q = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+            kv = Tensor(rng.standard_normal((m, 8)), requires_grad=True)
+            mask = Tensor(rng.standard_normal((n, m)), requires_grad=True) if trial % 3 == 0 else None
+            leaves = dict(params, q=q, kv=kv, **({"mask": mask} if mask is not None else {}))
+            weights = Tensor(rng.standard_normal((n, 8)))
+            fused_w, ref_w = [], []
+            fused = analytic_grads(lambda: ad.tsum(ad.mul(multi_head_attention(
+                q, kv, params, heads, mask=mask, collect_weights=fused_w), weights)), leaves)
+            ref = analytic_grads(lambda: ad.tsum(ad.mul(per_head_attention(
+                q, kv, params, heads, mask=mask, collect_weights=ref_w), weights)), leaves)
+            assert np.array_equal(multi_head_attention(q, kv, params, heads, mask=mask).data,
+                                  per_head_attention(q, kv, params, heads, mask=mask).data)
+            assert len(fused_w) == len(ref_w) == heads
+            for a, b in zip(fused_w, ref_w):
+                assert np.array_equal(a.data, b.data)
+            scale = max(float(np.abs(g).max()) for g in ref.values())
+            for name in leaves:
+                assert np.abs(fused[name] - ref[name]).max() <= 1e-12 * scale, name
 
 
 class TestMHSA:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sg3d import autodiff as ad
+from sg3d import encoders, reasoning
 from sg3d.autodiff import Tape, Tensor
 from sg3d.errors import ConfigError, DataError
-from sg3d.reasoning import ModelConfig
+from sg3d.reasoning import ModelConfig, ModelState
 from sg3d.synthetic import EmbeddingProvider, WorldConfig, generate_dataset, provider_from_manifest
 from sg3d.training import (AdamW, Checkpoint, LossParts, LossWeights, TrainConfig,
                            apply_embedding_init, build_train_scene, cosine_lr,
@@ -15,7 +16,8 @@ from sg3d.training import (AdamW, Checkpoint, LossParts, LossWeights, TrainConfi
                            total_loss, train)
 
 from gradcheck import check_params
-from test_reasoning import make_sample, randomize_params, small_model
+from test_encoders import per_instance_encoder
+from test_reasoning import make_sample, per_head_attention, randomize_params, small_model
 
 
 class TestLossObj:
@@ -360,3 +362,59 @@ class TestCheckpoint:
         mc2, tc2 = tiny_configs(vlsat=not saved_vlsat, epochs=2)
         with pytest.raises(ConfigError, match="vlsat"):
             train(samples, vocab, provider, mc2, tc2, resume=ck)
+
+
+# ---------------------------------------------------------------------------
+# fused attention and packed point encoder, against the per-head and
+# per-instance composites they replace
+
+
+def default_scene(rng, k):
+    """A scene and train set-up for the default ModelConfig sizes."""
+    sample = make_sample(rng, k=k, n_rel=13, d_vis=34)
+    return build_train_scene(sample, EmbeddingProvider(0, 16, 13, 32))
+
+
+def scene_grads(model, ts, vlsat):
+    model.zero_grad()
+    with Tape() as tape:
+        total, _ = scene_loss(model, ts, LossWeights(), vlsat)
+        tape.backward(total)
+    return total.item(), {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                          for n, p in model.params.items()}
+
+
+@pytest.mark.parametrize("vlsat", [True, False])
+def test_whole_model_matches_per_head_per_instance(vlsat, monkeypatch):
+    # gradients are compared against the largest entry of the whole model:
+    # the key bias gradient is zero in exact arithmetic (softmax ignores a
+    # per-row constant), so both paths return rounding noise there
+    rng = np.random.default_rng(40)
+    model = ModelState(ModelConfig(joint=vlsat))
+    randomize_params(model, rng, scale=0.2)
+    for k in (1, 2, 5, 9):
+        ts = default_scene(rng, k)
+        loss, fused = scene_grads(model, ts, vlsat)
+        with monkeypatch.context() as patch:
+            patch.setattr(reasoning, "multi_head_attention", per_head_attention)
+            patch.setattr(encoders, "encode_nodes_3d", per_instance_encoder)
+            ref_loss, ref = scene_grads(model, ts, vlsat)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        scale = max(float(np.abs(g).max()) for g in ref.values())
+        worst = max(float(np.abs(fused[n] - ref[n]).max()) for n in ref)
+        assert worst <= 1e-12 * scale
+
+
+def test_tape_ops_per_scene_guard():
+    # the fused attention and the packed encoder make the op count independent
+    # of K; per-head or per-instance ops would grow it with heads and K
+    rng = np.random.default_rng(41)
+    for vlsat, limit in ((True, 210), (False, 80)):
+        model = ModelState(ModelConfig(joint=vlsat))
+        counts = set()
+        for k in (2, 9):
+            ts = default_scene(rng, k)
+            with Tape() as tape:
+                scene_loss(model, ts, LossWeights(), vlsat)
+                counts.add(len(tape.records))
+        assert len(counts) == 1 and counts.pop() <= limit
