@@ -108,10 +108,17 @@ def eval_config(cfg: dict, args) -> EvalConfig:
     values = dict(cfg.get("eval", {}))
     for key in ("object_ks", "predicate_ks", "triplet_ks", "recall_ks"):
         if key in values:
+            if not isinstance(values[key], list):
+                raise ConfigError(f"eval config: {key} must be a list of integers")
             values[key] = tuple(values[key])
     if args.k_list:
-        values["recall_ks"] = tuple(int(k) for k in args.k_list.split(","))
-    return _build_dataclass(EvalConfig, values, "eval config")
+        try:
+            values["recall_ks"] = tuple(int(k) for k in args.k_list.split(","))
+        except ValueError as e:
+            raise ConfigError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from e
+    ec = _build_dataclass(EvalConfig, values, "eval config")
+    ec.validate()
+    return ec
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +135,18 @@ def write_dataset(out: Path, samples, vocab: Vocabulary, manifest: dict, extra_c
     (out / "manifest.json").write_text(manifest_to_json(manifest), encoding="utf-8")
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise DataError(f"{what} {path} is not valid JSON: {e}") from e
+
+
 def read_manifest(dataset_dir: Path) -> dict:
     path = dataset_dir / "manifest.json"
     if not path.exists():
         raise DataError(f"dataset manifest not found: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_json(path, "dataset manifest")
 
 
 def read_dataset(dataset_dir: Path, strict: bool = True, splits=("train", "validation")):
@@ -254,13 +268,17 @@ def _splits_from_manifest(manifest: dict) -> dict[str, set[int]]:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     ec = eval_config(cfg, args)
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _read_json(Path(args.manifest), "manifest")
+    try:
+        vocab_hash = manifest["vocab_hash"]
+        train_triplets = {tuple(t) for t in manifest["train_triplets"]}
+        splits = _splits_from_manifest(manifest)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"manifest {args.manifest}: missing or malformed field ({e!r})") from e
     dump = dump_from_jsonl(Path(args.dump).read_text(encoding="utf-8"))
-    if dump.vocab_hash and dump.vocab_hash != manifest["vocab_hash"]:
+    if dump.vocab_hash and dump.vocab_hash != vocab_hash:
         raise DataError("dump vocabulary hash does not match the manifest")
-    train_triplets = {tuple(t) for t in manifest["train_triplets"]}
-    report = evaluate(dump, predicate_splits=_splits_from_manifest(manifest),
-                      train_triplets=train_triplets, cfg=ec)
+    report = evaluate(dump, predicate_splits=splits, train_triplets=train_triplets, cfg=ec)
     report["tool_version"] = __version__
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,11 +2,23 @@
 ranking, scene-level recall with and without graph constraint,
 head/body/tail breakdowns and seen/unseen triplet accounting.
 
+One rank rule serves every metric (`_rank`): a candidate's rank is
+1 + (candidates scoring strictly higher) + (candidates scoring equal that
+come earlier in C order). Each candidate list is laid out so that C order
+is its tie-break order:
+  * objects and predicates: a row of class scores (ascending class index);
+  * triplets: a pair's flat (s, p, o) score cube; the scene-wide pool
+    concatenates the scene's cubes in canonical pair order;
+  * recall: the scene's flat (E, N_rel) matrix of (f_i * P_pred) * f_j in
+    canonical pair order, i.e. (i, j, p) order; the restricted pool is the
+    length-E vector of each pair's top-1 item.
+`evaluate` ranks each scene once per distinct candidate list and reads
+every k from those ranks.
+
 Determinism and oracle agreement:
-  * ranks are computed by counting strictly-better candidates, ties broken
-    by ascending class index (lexicographic (s, p, o) for triplets);
   * triplet scores multiply left to right: (P_subj * P_pred) * P_obj;
-  * per-class means sum fractions in class-index order and divide once.
+  * per-class means sum fractions in class-index order and divide once;
+  * R@k sums per-scene recalls in scene order.
 An independent exhaustive-enumeration implementation following the same
 conventions reproduces every number bitwise.
 
@@ -25,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .scene import ordered_pairs
+from .errors import ConfigError, DataError
+from .scene import pair_index_arrays
 
 OBJECT_KS = (1, 5, 10)
 PREDICATE_KS = (1, 3, 5)
@@ -46,15 +58,28 @@ class ScenePrediction:
     def k(self) -> int:
         return self.object_probs.shape[0]
 
-    def validate(self) -> None:
+    def validate(self, n_obj: int, n_rel: int) -> None:
         k = self.k
         e = k * (k - 1)
-        if self.predicate_probs.shape[0] != e or self.gt_predicate_rows.shape[0] != e:
-            raise DataError(f"scene {self.scene_id}: pair rows do not match K={k}")
+        where = f"scene {self.scene_id}"
+        if k < 1:
+            raise DataError(f"{where}: no objects")
+        for name, arr, shape in (("object_probs", self.object_probs, (k, n_obj)),
+                                 ("gt_objects", self.gt_objects, (k,)),
+                                 ("predicate_probs", self.predicate_probs, (e, n_rel)),
+                                 ("gt_predicates", self.gt_predicate_rows, (e, n_rel))):
+            if arr.shape != shape:
+                raise DataError(f"{where}: {name} has shape {arr.shape}, expected {shape} for K={k}")
+        if not (np.isfinite(self.object_probs).all() and np.isfinite(self.predicate_probs).all()):
+            raise DataError(f"{where}: probabilities must be finite")
+        if np.any(self.gt_objects < 0) or np.any(self.gt_objects >= n_obj):
+            raise DataError(f"{where}: gt_objects must lie in [0, {n_obj})")
+        if not np.all((self.gt_predicate_rows == 0) | (self.gt_predicate_rows == 1)):
+            raise DataError(f"{where}: gt_predicates must be 0/1")
         if np.any(np.abs(self.object_probs.sum(axis=1) - 1.0) > 1e-9):
-            raise DataError(f"scene {self.scene_id}: object probability rows must sum to 1")
+            raise DataError(f"{where}: object probability rows must sum to 1")
         if np.any(self.predicate_probs < 0) or np.any(self.predicate_probs > 1):
-            raise DataError(f"scene {self.scene_id}: predicate probabilities must lie in [0, 1]")
+            raise DataError(f"{where}: predicate probabilities must lie in [0, 1]")
 
 
 @dataclass
@@ -67,77 +92,70 @@ class PredictionDump:
 
     def validate(self) -> None:
         for s in self.scenes:
-            s.validate()
+            s.validate(self.n_obj, self.n_rel)
 
 
 # ---------------------------------------------------------------------------
-# rank primitives
+# ranking
 
 
-def _rank_in_row(scores: np.ndarray, label: int) -> int:
-    """1-based rank of `label`; ties broken by ascending class index."""
-    s = scores[label]
-    greater = int((scores > s).sum())
-    tie_before = int((scores[:label] == s).sum())
-    return 1 + greater + tie_before
+def _rank(scores: np.ndarray, idx) -> np.ndarray:
+    """1-based rank of candidate idx[r] in row r of `scores` ((n, M), or (M,)
+    shared by every idx): 1 + (candidates scoring strictly higher) +
+    (candidates scoring equal that come earlier in C order)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    scores = np.broadcast_to(scores, (len(idx), np.shape(scores)[-1]))
+    score = scores[np.arange(len(idx)), idx][:, None]
+    earlier = np.arange(scores.shape[1]) < idx[:, None]
+    return 1 + (scores > score).sum(axis=1) + ((scores == score) & earlier).sum(axis=1)
+
+
+def _events(scores: np.ndarray, gt) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and class of every (row, gt class) event; `gt` holds one label per
+    row or multi-hot rows (a multi-label row counts once per class)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    gt = np.asarray(gt)
+    rows, classes = np.nonzero(gt) if gt.ndim == 2 else (np.arange(len(gt)), gt.astype(np.intp))
+    return _rank(scores[rows], classes), classes
+
+
+def _mean(values: list) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
+def _share(ranks: np.ndarray, k: int) -> float | None:
+    """Fraction of ranks within the top k; None when there are none."""
+    return int((ranks <= k).sum()) / len(ranks) if len(ranks) else None
+
+
+def _class_mean(ranks: np.ndarray, classes: np.ndarray, n_cls: int, k: int,
+                class_subset: set[int] | None = None) -> float | None:
+    """Unweighted mean over classes with >= 1 event of the per-class share
+    within the top k, summed in class order."""
+    hits = np.bincount(classes[ranks <= k], minlength=n_cls).tolist()
+    totals = np.bincount(classes, minlength=n_cls).tolist()
+    return _mean([h / t for c, (h, t) in enumerate(zip(hits, totals))
+                  if t and (class_subset is None or c in class_subset)])
 
 
 def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float | None:
     """Fraction of rows whose label ranks within the top k; None when empty."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if scores.shape[0] == 0:
-        return None
-    if k > scores.shape[1]:
+    if len(scores) and k > scores.shape[1]:
         raise DataError(f"k={k} exceeds {scores.shape[1]} classes")
-    correct = sum(1 for row, lab in zip(scores, labels) if _rank_in_row(row, int(lab)) <= k)
-    return correct / scores.shape[0]
-
-
-def _event_counts(scores: np.ndarray, multihot: np.ndarray, k: int) -> tuple[list[int], list[int]]:
-    """Per-class (correct, total) over all (row, gt-class) events."""
-    n_cls = scores.shape[1]
-    correct = [0] * n_cls
-    total = [0] * n_cls
-    for row, gt_row in zip(scores, multihot):
-        for c in np.nonzero(gt_row)[0]:
-            c = int(c)
-            total[c] += 1
-            if _rank_in_row(row, c) <= k:
-                correct[c] += 1
-    return correct, total
-
-
-def _labels_to_multihot(labels: np.ndarray, n_cls: int) -> np.ndarray:
-    out = np.zeros((len(labels), n_cls), dtype=np.uint8)
-    out[np.arange(len(labels)), np.asarray(labels, dtype=np.intp)] = 1
-    return out
+    return _share(_events(scores, labels)[0], k)
 
 
 def accuracy_events(scores: np.ndarray, multihot: np.ndarray, k: int) -> float | None:
     """Plain A@k over (row, gt-class) events (multi-label rows contribute once per class)."""
-    correct, total = _event_counts(scores, multihot, k)
-    if sum(total) == 0:
-        return None
-    return sum(correct) / sum(total)
+    return _share(_events(scores, multihot)[0], k)
 
 
 def mean_topk_accuracy(scores: np.ndarray, gt, k: int,
                        class_subset: set[int] | None = None) -> float | None:
     """Unweighted mean over classes (with >= 1 gt occurrence) of per-class A@k."""
-    scores = np.asarray(scores, dtype=np.float64)
-    gt = np.asarray(gt)
-    multihot = gt if gt.ndim == 2 else _labels_to_multihot(gt, scores.shape[1])
-    correct, total = _event_counts(scores, multihot, k)
-    fractions = [correct[c] / total[c] for c in range(scores.shape[1])
-                 if total[c] > 0 and (class_subset is None or c in class_subset)]
-    if not fractions:
-        return None
-    return sum(fractions) / len(fractions)
-
-
-# ---------------------------------------------------------------------------
-# triplet ranking (pair-local candidate pool by default)
+    ranks, classes = _events(scores, gt)
+    return _class_mean(ranks, classes, np.shape(scores)[1], k, class_subset)
 
 
 @dataclass
@@ -147,147 +165,121 @@ class TripletRecord:
     key: tuple[int, int, int]  # (subject class, predicate, object class)
 
 
-def _pair_cube(obj_i: np.ndarray, pred_row: np.ndarray, obj_j: np.ndarray) -> np.ndarray:
-    # score(s, p, o) = (P_subj(s) * P_pred(p)) * P_obj(o); C-order ravel is
-    # lexicographic in (s, p, o), which is the tie-break order
-    return ((obj_i[:, None] * pred_row[None, :])[:, :, None] * obj_j[None, None, :]).ravel()
-
-
 def triplet_records(scene: ScenePrediction, pool: str = "pair") -> list[TripletRecord]:
-    """Rank every gt relation among its candidate triplets."""
+    """Rank every gt relation among its candidate triplets: its pair's cube of
+    (P_subj(s) * P_pred(p)) * P_obj(o), or with pool="scene" every pair's."""
     if pool not in ("pair", "scene"):
         raise DataError(f"unknown triplet pool {pool!r}")
-    k = scene.k
     n_obj = scene.object_probs.shape[1]
     n_rel = scene.predicate_probs.shape[1]
-    pairs = ordered_pairs(k)
-    cubes = [_pair_cube(scene.object_probs[i], scene.predicate_probs[e], scene.object_probs[j])
-             for e, (i, j) in enumerate(pairs)]
-    records = []
-    for e, (i, j) in enumerate(pairs):
-        gt_preds = np.nonzero(scene.gt_predicate_rows[e])[0]
-        if len(gt_preds) == 0:
-            continue
-        s_cls = int(scene.gt_objects[i])
-        o_cls = int(scene.gt_objects[j])
-        flat = cubes[e]
-        for p in gt_preds:
-            p = int(p)
-            idx = (s_cls * n_rel + p) * n_obj + o_cls
-            score = flat[idx]
-            rank = 1 + int((flat > score).sum()) + int((flat[:idx] == score).sum())
-            if pool == "scene":
-                for e2 in range(len(pairs)):
-                    if e2 == e:
-                        continue
-                    other = cubes[e2]
-                    rank += int((other > score).sum())
-                    if e2 < e:
-                        rank += int((other == score).sum())
-            records.append(TripletRecord(predicate=p, rank=rank, key=(s_cls, p, o_cls)))
-    return records
+    pair_i, pair_j = pair_index_arrays(scene.k)
+    cubes = ((scene.object_probs[pair_i][:, :, None] * scene.predicate_probs[:, None, :])[..., None]
+             * scene.object_probs[pair_j][:, None, None, :]).reshape(len(pair_i), n_obj * n_rel * n_obj)
+    ev_pair, ev_pred = np.nonzero(scene.gt_predicate_rows)
+    subj, obj = scene.gt_objects[pair_i[ev_pair]], scene.gt_objects[pair_j[ev_pair]]
+    pos = (subj * n_rel + ev_pred) * n_obj + obj
+    if pool == "pair":
+        ranks = _rank(cubes[ev_pair], pos)
+    else:  # one relation at a time, never an (events x scene cubes) matrix
+        ranks = [_rank(cubes.ravel(), [e * cubes.shape[1] + q])[0] for e, q in zip(ev_pair, pos)]
+    return [TripletRecord(predicate=int(p), rank=int(r), key=(int(s), int(p), int(o)))
+            for p, r, s, o in zip(ev_pred, ranks, subj, obj)]
 
 
-def _triplet_metrics(records: list[TripletRecord], n_rel: int, k: int) -> tuple[float | None, float | None]:
-    if not records:
-        return None, None
-    a_at_k = sum(1 for r in records if r.rank <= k) / len(records)
-    fractions = []
-    for c in range(n_rel):
-        cls = [r for r in records if r.predicate == c]
-        if cls:
-            fractions.append(sum(1 for r in cls if r.rank <= k) / len(cls))
-    ma_at_k = sum(fractions) / len(fractions) if fractions else None
-    return a_at_k, ma_at_k
+def _record_arrays(records: list[TripletRecord]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([r.rank for r in records], dtype=np.intp),
+            np.array([r.predicate for r in records], dtype=np.intp))
+
+
+def _seen_unseen(records: list[TripletRecord], ranks: np.ndarray,
+                 train_triplets: set[tuple[int, int, int]], ks) -> dict:
+    seen = np.array([r.key in train_triplets for r in records], dtype=bool)
+    return {"seen": {k: _share(ranks[seen], k) for k in ks},
+            "unseen": {k: _share(ranks[~seen], k) for k in ks},
+            "seen_count": int(seen.sum()), "unseen_count": int((~seen).sum())}
 
 
 def triplet_topk(dump: PredictionDump, k: int, pool: str = "pair") -> dict:
     """Triplet A@k and mA@k over all gt relations in the dump."""
-    records = [r for s in dump.scenes for r in triplet_records(s, pool)]
-    a, ma = _triplet_metrics(records, dump.n_rel, k)
-    return {"A": a, "mA": ma}
+    ranks, preds = _record_arrays([r for s in dump.scenes for r in triplet_records(s, pool)])
+    return {"A": _share(ranks, k), "mA": _class_mean(ranks, preds, dump.n_rel, k)}
 
 
 def seen_unseen_report(dump: PredictionDump, train_triplets: set[tuple[int, int, int]],
                        ks=TRIPLET_KS, pool: str = "pair") -> dict:
     """Triplet A@k restricted to relations whose class triple was / wasn't seen in training."""
     records = [r for s in dump.scenes for r in triplet_records(s, pool)]
-    seen = [r for r in records if r.key in train_triplets]
-    unseen = [r for r in records if r.key not in train_triplets]
-    out = {"seen": {}, "unseen": {}}
-    for k in ks:
-        out["seen"][k] = _triplet_metrics(seen, dump.n_rel, k)[0]
-        out["unseen"][k] = _triplet_metrics(unseen, dump.n_rel, k)[0]
-    out["seen_count"] = len(seen)
-    out["unseen_count"] = len(unseen)
-    return out
+    return _seen_unseen(records, _record_arrays(records)[0], train_triplets, ks)
 
 
-# ---------------------------------------------------------------------------
-# scene-level recall
+RECALL_VARIANTS = tuple((task, constraint) for task in ("sgcls", "predcls") for constraint in (True, False))
 
 
-def _argmax(row: np.ndarray) -> int:
-    return int(np.argmax(row))  # first max = lowest index on ties
+def _recall_ranks(scene: ScenePrediction, variants, predcls_ranking: str,
+                  constraint_mode: str) -> tuple[np.ndarray, dict]:
+    """Predicate of every gt relation, and per (task, constraint) variant its
+    rank, or a rank past every k where the variant cannot match it.
 
-
-def _scene_items(scene: ScenePrediction, task: str, predcls_ranking: str,
-                 restricted: bool) -> tuple[list[tuple[float, int, int, int]], np.ndarray, list]:
-    """Ranked candidate items (score, i, j, p) plus the object labels used."""
-    k = scene.k
-    pairs = ordered_pairs(k)
-    onehot = task == "predcls" and predcls_ranking == "onehot"
-    if onehot:
-        labels = scene.gt_objects.astype(np.intp)
-        factors = np.ones(k)
-    else:
-        labels = np.array([_argmax(r) for r in scene.object_probs], dtype=np.intp)
-        factors = np.array([scene.object_probs[i, labels[i]] for i in range(k)])
-    items = []
-    for e, (i, j) in enumerate(pairs):
-        preds = scene.predicate_probs[e]
-        if restricted:
-            p_best = _argmax(preds)
-            items.append(((factors[i] * preds[p_best]) * factors[j], i, j, p_best))
-        else:
-            for p in range(len(preds)):
-                items.append(((factors[i] * preds[p]) * factors[j], i, j, p))
-    items.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
-    return items, labels, pairs
-
-
-def _scene_recall_counts(scene: ScenePrediction, k: int, task: str, constraint: bool,
-                         predcls_ranking: str, n_rel: int,
-                         constraint_mode: str = "shared_pool") -> tuple[list[int], list[int]]:
-    """Per-predicate-class (matched, total) gt counts for one scene.
-
-    constraint_mode "shared_pool" (default) ranks the same full candidate
-    list in both modes; the graph constraint only disqualifies matches
-    whose predicate is not the pair's top-1 (so no-constraint recall is
-    >= with-constraint recall on every dump). "restricted_pool" is the
-    conventional variant that ranks one top-1 item per pair instead.
+    f is each object's argmax probability, or 1 for PredCls under
+    predcls_ranking="onehot". The graph constraint only admits a pair's top-1
+    predicate; constraint_mode="restricted_pool" also ranks only those items.
+    SGCls requires both argmax labels to match the ground truth.
     """
-    restricted = constraint and constraint_mode == "restricted_pool"
-    items, labels, pairs = _scene_items(scene, task, predcls_ranking, restricted)
-    top = set()
-    for score, i, j, p in items[:k]:
-        top.add((i, j, p))
-    require_labels = task == "sgcls"
-    matched = [0] * n_rel
-    total = [0] * n_rel
-    for e, (i, j) in enumerate(pairs):
-        top1 = _argmax(scene.predicate_probs[e]) if constraint else -1
-        for p in np.nonzero(scene.gt_predicate_rows[e])[0]:
-            p = int(p)
-            total[p] += 1
-            if constraint and p != top1:
-                continue
-            if (i, j, p) not in top:
-                continue
-            if require_labels and not (labels[i] == scene.gt_objects[i] and labels[j] == scene.gt_objects[j]):
-                continue
-            matched[p] += 1
-    return matched, total
+    k, n_rel = scene.k, scene.predicate_probs.shape[1]
+    pair_i, pair_j = pair_index_arrays(k)
+    ev_pair, ev_pred = np.nonzero(scene.gt_predicate_rows)
+    top1 = scene.predicate_probs.argmax(axis=1)  # first max = lowest index on ties
+    labels = scene.object_probs.argmax(axis=1)
+    label_ok = labels == scene.gt_objects
+    ranked, out = {}, {}
+    for task, constraint in variants:
+        onehot = task == "predcls" and predcls_ranking == "onehot"
+        restricted = constraint and constraint_mode == "restricted_pool"
+        if (onehot, restricted) not in ranked:
+            f = np.ones(k) if onehot else scene.object_probs[np.arange(k), labels]
+            scores = (f[pair_i, None] * scene.predicate_probs) * f[pair_j, None]
+            ranked[onehot, restricted] = (_rank(scores[np.arange(len(top1)), top1], ev_pair) if restricted
+                                          else _rank(scores.ravel(), ev_pair * n_rel + ev_pred))
+        ok = np.ones(len(ev_pred), dtype=bool)
+        if constraint:
+            ok &= ev_pred == top1[ev_pair]
+        if task == "sgcls":
+            ok &= label_ok[pair_i[ev_pair]] & label_ok[pair_j[ev_pair]]
+        out[task, constraint] = np.where(ok, ranked[onehot, restricted], np.iinfo(np.intp).max)
+    return ev_pred, out
+
+
+def _recall(dump: PredictionDump, variants, ks, predcls_ranking: str, mr_mode: str,
+            constraint_mode: str) -> dict:
+    """{((task, constraint), k): {"R": R@k, "mR": mR@k}} from one ranking per scene."""
+    if mr_mode not in ("pooled", "per_scene"):
+        raise DataError(f"unknown mr_mode {mr_mode!r}")
+    if any(k < 1 for k in ks):
+        raise DataError("k must be >= 1")
+    n_rel = dump.n_rel
+    counts = {(v, k): [] for v in variants for k in ks}  # (matched, total) per scene with gt
+    for scene in dump.scenes:
+        preds, ranks = _recall_ranks(scene, variants, predcls_ranking, constraint_mode)
+        if len(preds) == 0:
+            continue
+        total = np.bincount(preds, minlength=n_rel).tolist()
+        for (v, k), per_scene in counts.items():
+            per_scene.append((np.bincount(preds[ranks[v] <= k], minlength=n_rel).tolist(), total))
+
+    out = {}
+    for key, per_scene in counts.items():
+        if not per_scene:
+            out[key] = {"R": None, "mR": None}
+            continue
+        if mr_mode == "pooled":
+            matched = [sum(col) for col in zip(*(m for m, _ in per_scene))]
+            total = [sum(col) for col in zip(*(t for _, t in per_scene))]
+            fractions = [m / t for m, t in zip(matched, total) if t]
+        else:
+            fractions = [_mean([m[c] / t[c] for m, t in per_scene if t[c]]) for c in range(n_rel)]
+            fractions = [f for f in fractions if f is not None]
+        out[key] = {"R": _mean([sum(m) / sum(t) for m, t in per_scene]), "mR": _mean(fractions)}
+    return out
 
 
 def recall_at_k(dump: PredictionDump, k: int, task: str, constraint: bool,
@@ -297,48 +289,25 @@ def recall_at_k(dump: PredictionDump, k: int, task: str, constraint: bool,
 
     task: "sgcls" | "predcls". mr_mode "pooled" pools class counts across
     scenes; "per_scene" averages per-scene class recalls first.
+    constraint_mode "shared_pool" (default) ranks the same full candidate
+    list in both modes; the graph constraint only disqualifies matches
+    whose predicate is not the pair's top-1 (so no-constraint recall is
+    >= with-constraint recall on every dump). "restricted_pool" is the
+    conventional variant that ranks one top-1 item per pair instead.
     """
     task = task.lower()
     if task not in ("sgcls", "predcls"):
         raise DataError(f"unknown task {task!r}")
-    if k < 1:
-        raise DataError("k must be >= 1")
-    n_rel = dump.n_rel
-    scene_recalls = []
-    pooled_matched = [0] * n_rel
-    pooled_total = [0] * n_rel
-    per_scene_class: list[list[float | None]] = []
-    for scene in dump.scenes:
-        matched, total = _scene_recall_counts(scene, k, task, constraint, predcls_ranking,
-                                              n_rel, constraint_mode)
-        if sum(total) == 0:
-            continue
-        scene_recalls.append(sum(matched) / sum(total))
-        for c in range(n_rel):
-            pooled_matched[c] += matched[c]
-            pooled_total[c] += total[c]
-        per_scene_class.append([matched[c] / total[c] if total[c] else None for c in range(n_rel)])
-
-    if not scene_recalls:
-        return {"R": None, "mR": None}
-    r_at_k = sum(scene_recalls) / len(scene_recalls)
-
-    if mr_mode == "pooled":
-        fractions = [pooled_matched[c] / pooled_total[c] for c in range(n_rel) if pooled_total[c] > 0]
-    elif mr_mode == "per_scene":
-        fractions = []
-        for c in range(n_rel):
-            vals = [row[c] for row in per_scene_class if row[c] is not None]
-            if vals:
-                fractions.append(sum(vals) / len(vals))
-    else:
-        raise DataError(f"unknown mr_mode {mr_mode!r}")
-    mr = sum(fractions) / len(fractions) if fractions else None
-    return {"R": r_at_k, "mR": mr}
+    variant = (task, constraint)
+    return _recall(dump, [variant], [k], predcls_ranking, mr_mode, constraint_mode)[variant, k]
 
 
 # ---------------------------------------------------------------------------
 # full report
+
+EVAL_CHOICES = {"triplet_pool": ("pair", "scene"), "predcls_ranking": ("shared", "onehot"),
+                "mr_mode": ("pooled", "per_scene"),
+                "constraint_mode": ("shared_pool", "restricted_pool")}
 
 
 @dataclass
@@ -352,11 +321,25 @@ class EvalConfig:
     mr_mode: str = "pooled"
     constraint_mode: str = "shared_pool"
 
+    def validate(self) -> None:
+        for name, allowed in EVAL_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"eval config: {name} must be one of {list(allowed)}, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("object_ks", "predicate_ks", "triplet_ks", "recall_ks"):
+            ks = getattr(self, name)
+            if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in ks):
+                raise ConfigError(f"eval config: {name} must hold integers >= 1, got {list(ks)}")
+
 
 def evaluate(dump: PredictionDump, predicate_splits: dict[str, set[int]] | None = None,
              train_triplets: set[tuple[int, int, int]] | None = None,
              cfg: EvalConfig | None = None) -> dict:
-    """Compute the full metric report for a prediction dump."""
+    """Compute the full metric report for a prediction dump.
+
+    Every scene is ranked once per distinct candidate list, and every k is
+    read from those ranks.
+    """
     cfg = cfg or EvalConfig()
     dump.validate()
 
@@ -368,6 +351,12 @@ def evaluate(dump: PredictionDump, predicate_splits: dict[str, set[int]] | None 
         if dump.scenes else np.zeros((0, dump.n_rel))
     pred_gt = np.concatenate([s.gt_predicate_rows for s in dump.scenes]) \
         if dump.scenes else np.zeros((0, dump.n_rel))
+    obj_ranks, _ = _events(obj_scores, obj_labels)
+    pred_ranks, pred_classes = _events(pred_scores, pred_gt)
+    records = [r for s in dump.scenes for r in triplet_records(s, cfg.triplet_pool)]
+    trip_ranks, trip_preds = _record_arrays(records)
+    recall = _recall(dump, RECALL_VARIANTS, cfg.recall_ks, cfg.predcls_ranking, cfg.mr_mode,
+                     cfg.constraint_mode)
 
     report: dict = {
         "config": {
@@ -389,33 +378,26 @@ def evaluate(dump: PredictionDump, predicate_splits: dict[str, set[int]] | None 
 
     for k in cfg.object_ks:
         if k <= dump.n_obj:
-            report["object"]["A"][k] = topk_accuracy(obj_scores, obj_labels, k)
+            report["object"]["A"][k] = _share(obj_ranks, k)
     for k in cfg.predicate_ks:
         if k <= dump.n_rel:
-            report["predicate"]["A"][k] = accuracy_events(pred_scores, pred_gt, k)
-            report["predicate"]["mA"][k] = mean_topk_accuracy(pred_scores, pred_gt, k)
+            report["predicate"]["A"][k] = _share(pred_ranks, k)
+            report["predicate"]["mA"][k] = _class_mean(pred_ranks, pred_classes, dump.n_rel, k)
     for k in cfg.triplet_ks:
-        t = triplet_topk(dump, k, cfg.triplet_pool)
-        report["triplet"]["A"][k] = t["A"]
-        report["triplet"]["mA"][k] = t["mA"]
-    for task in ("sgcls", "predcls"):
-        for constraint in (True, False):
-            bucket = report[task]["with_constraint" if constraint else "no_constraint"]
-            for k in cfg.recall_ks:
-                r = recall_at_k(dump, k, task, constraint, cfg.predcls_ranking,
-                                cfg.mr_mode, cfg.constraint_mode)
-                bucket["R"][k] = r["R"]
-                bucket["mR"][k] = r["mR"]
+        report["triplet"]["A"][k] = _share(trip_ranks, k)
+        report["triplet"]["mA"][k] = _class_mean(trip_ranks, trip_preds, dump.n_rel, k)
+    for ((task, constraint), k), r in recall.items():
+        bucket = report[task]["with_constraint" if constraint else "no_constraint"]
+        bucket["R"][k] = r["R"]
+        bucket["mR"][k] = r["mR"]
 
     if predicate_splits:
         for split_name, classes in predicate_splits.items():
-            per_split = {}
-            for k in cfg.predicate_ks:
-                if k <= dump.n_rel:
-                    per_split[k] = mean_topk_accuracy(pred_scores, pred_gt, k, class_subset=set(classes))
-            report["splits"][split_name] = per_split
+            report["splits"][split_name] = {
+                k: _class_mean(pred_ranks, pred_classes, dump.n_rel, k, set(classes))
+                for k in cfg.predicate_ks if k <= dump.n_rel}
     if train_triplets is not None:
-        report["seen_unseen"] = seen_unseen_report(dump, train_triplets, cfg.triplet_ks, cfg.triplet_pool)
+        report["seen_unseen"] = _seen_unseen(records, trip_ranks, train_triplets, cfg.triplet_ks)
     return report
 
 
@@ -480,25 +462,52 @@ def dump_to_jsonl(dump: PredictionDump, tool_version: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dump_array(rec: dict, name: str, width: int | None = None, integer: bool = False) -> np.ndarray:
+    """Field `name` of a dump record as an array; an empty list reads as (0, width)."""
+    if name not in rec:
+        raise DataError(f"missing field {name!r}")
+    try:
+        arr = np.asarray(rec[name], dtype=None if integer else np.float64)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"field {name!r} is not a numeric array: {e}") from e
+    if arr.size == 0:
+        return np.zeros((0, width) if width else 0, dtype=np.intp if integer else np.float64)
+    if arr.ndim == 0 or (integer and arr.dtype.kind not in "iu"):
+        raise DataError(f"field {name!r} must be an array of {'integers' if integer else 'numbers'}")
+    return arr
+
+
 def dump_from_jsonl(text: str) -> PredictionDump:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse and validate a dump; a malformed line raises DataError naming it."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise DataError("empty prediction dump")
-    header = json.loads(lines[0])
-    if header.get("kind") != "sg3d-dump":
-        raise DataError("not a prediction dump (missing header)")
     scenes = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        scenes.append(ScenePrediction(
-            scene_id=rec["scene_id"],
-            object_probs=np.asarray(rec["object_probs"], dtype=np.float64),
-            predicate_probs=np.asarray(rec["predicate_probs"], dtype=np.float64),
-            gt_objects=np.asarray(rec["gt_objects"], dtype=np.intp),
-            gt_predicate_rows=np.asarray(rec["gt_predicates"], dtype=np.uint8),
-        ))
-    dump = PredictionDump(scenes=scenes, n_obj=header["n_obj"], n_rel=header["n_rel"],
+    header = None
+    for n, ln in lines:
+        try:
+            rec = json.loads(ln)
+            if header is None:
+                if not isinstance(rec, dict) or rec.get("kind") != "sg3d-dump":
+                    raise DataError("not a prediction dump (missing header)")
+                if not all(isinstance(rec.get(f), int) and rec[f] >= 1 for f in ("n_obj", "n_rel")):
+                    raise DataError("header needs integer n_obj and n_rel >= 1")
+                header = rec
+                continue
+            if not isinstance(rec, dict) or not isinstance(rec.get("scene_id"), str):
+                raise DataError("a scene record needs a string field 'scene_id'")
+            scene = ScenePrediction(
+                scene_id=rec["scene_id"],
+                object_probs=_dump_array(rec, "object_probs", header["n_obj"]),
+                predicate_probs=_dump_array(rec, "predicate_probs", header["n_rel"]),
+                gt_objects=_dump_array(rec, "gt_objects", integer=True),
+                gt_predicate_rows=_dump_array(rec, "gt_predicates", header["n_rel"], integer=True),
+            )
+            scene.validate(header["n_obj"], header["n_rel"])
+        except (DataError, json.JSONDecodeError) as e:
+            raise DataError(f"prediction dump line {n}: {e}") from e
+        scene.gt_predicate_rows = scene.gt_predicate_rows.astype(np.uint8)
+        scenes.append(scene)
+    return PredictionDump(scenes=scenes, n_obj=header["n_obj"], n_rel=header["n_rel"],
                           vocab_hash=header.get("vocab_hash", ""),
                           config_hash=header.get("config_hash", ""))
-    dump.validate()
-    return dump

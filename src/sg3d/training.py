@@ -421,8 +421,18 @@ class Checkpoint:
         return json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        """Write a temp file beside `path` and rename it over `path`, so a
+        failed save leaves the previous checkpoint whole."""
+        import os
+
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(self.to_json())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

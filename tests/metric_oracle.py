@@ -221,3 +221,34 @@ def oracle_recall_at_k(dump, k, task, constraint, predcls_ranking="shared", mr_m
                 fractions.append(sum(vals) / len(vals))
     mr = sum(fractions) / len(fractions) if fractions else None
     return {"R": r, "mR": mr}
+
+
+def oracle_evaluate(dump, predicate_splits, train_triplets, cfg):
+    """The full report of sg3d.metrics.evaluate, built from the functions above."""
+    obj_scores = np.concatenate([s.object_probs for s in dump.scenes])
+    obj_labels = np.concatenate([s.gt_objects for s in dump.scenes])
+    pred_scores = np.concatenate([s.predicate_probs for s in dump.scenes])
+    pred_gt = np.concatenate([s.gt_predicate_rows for s in dump.scenes])
+    pred_ks = [k for k in cfg.predicate_ks if k <= dump.n_rel]
+    report = {
+        "config": {"triplet_pool": cfg.triplet_pool, "predcls_ranking": cfg.predcls_ranking,
+                   "mr_mode": cfg.mr_mode, "constraint_mode": cfg.constraint_mode,
+                   "vocab_hash": dump.vocab_hash, "dump_config_hash": dump.config_hash},
+        "object": {"A": {k: oracle_topk_accuracy(obj_scores, obj_labels, k)
+                         for k in cfg.object_ks if k <= dump.n_obj}},
+        "predicate": {"A": {k: oracle_accuracy_events(pred_scores, pred_gt, k) for k in pred_ks},
+                      "mA": {k: oracle_mean_topk(pred_scores, pred_gt, k) for k in pred_ks}},
+        "triplet": {name: {k: oracle_triplet_topk(dump, k, cfg.triplet_pool)[name]
+                           for k in cfg.triplet_ks} for name in ("A", "mA")},
+        "splits": {name: {k: oracle_mean_topk(pred_scores, pred_gt, k, class_subset=set(classes))
+                          for k in pred_ks} for name, classes in predicate_splits.items()},
+        "seen_unseen": oracle_seen_unseen(dump, train_triplets, cfg.triplet_ks, cfg.triplet_pool),
+    }
+    for task in ("sgcls", "predcls"):
+        report[task] = {}
+        for constraint in (True, False):
+            per_k = {k: oracle_recall_at_k(dump, k, task, constraint, cfg.predcls_ranking,
+                                           cfg.mr_mode, cfg.constraint_mode) for k in cfg.recall_ks}
+            report[task]["with_constraint" if constraint else "no_constraint"] = {
+                name: {k: r[name] for k, r in per_k.items()} for name in ("R", "mR")}
+    return report

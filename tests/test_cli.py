@@ -263,6 +263,114 @@ class TestEval:
             assert v == 1.0
 
 
+def _break_nan_predicate(rec):
+    rec["predicate_probs"][0][0] = float("nan")
+
+
+def _break_nan_object(rec):
+    rec["object_probs"][0][0] = float("nan")
+
+
+def _break_negative_label(rec):
+    rec["gt_objects"][0] = -1
+
+
+def _break_label_range(rec):
+    rec["gt_objects"][0] = len(rec["object_probs"][0])
+
+
+def _break_label_count(rec):
+    rec["gt_objects"].append(0)
+
+
+def _break_object_width(rec):
+    rec["object_probs"] = [row + [0.0] for row in rec["object_probs"]]
+
+
+def _break_predicate_width(rec):
+    rec["predicate_probs"] = [row[:-1] for row in rec["predicate_probs"]]
+
+
+def _break_gt_row(rec):
+    rec["gt_predicates"][0][0] = 2
+
+
+def _break_scene_id(rec):
+    del rec["scene_id"]
+
+
+def _break_field(rec):
+    del rec["gt_predicates"]
+
+
+# (name, edit of the first scene record, or a raw text for that line)
+BAD_DUMP_LINES = [
+    ("nan-predicate", _break_nan_predicate), ("nan-object", _break_nan_object),
+    ("negative-label", _break_negative_label), ("label-out-of-range", _break_label_range),
+    ("label-count", _break_label_count), ("object-width", _break_object_width),
+    ("predicate-width", _break_predicate_width), ("gt-row-not-binary", _break_gt_row),
+    ("missing-scene-id", _break_scene_id), ("missing-field", _break_field),
+    ("not-json", "{not json"), ("not-an-object", "[1, 2]"),
+]
+
+
+@pytest.mark.parametrize("name,breakage", BAD_DUMP_LINES, ids=[b[0] for b in BAD_DUMP_LINES])
+def test_malformed_dump_exit_code(workspace, tmp_path, caplog, name, breakage):
+    root, cfg = workspace
+    lines = (root / "pred" / "predictions.jsonl").read_text().splitlines()
+    if callable(breakage):
+        rec = json.loads(lines[1])
+        breakage(rec)
+        lines[1] = json.dumps(rec)
+    else:
+        lines[1] = breakage
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--dump", str(bad), "--manifest", str(root / "ds" / "manifest.json"),
+                 "--out", str(tmp_path / "ev")]) == 3
+    assert "line 2" in caplog.text
+    assert not (tmp_path / "ev" / "report.json").exists()
+
+
+@pytest.mark.parametrize("breakage", ["not json", "missing-field"])
+def test_malformed_manifest_exit_code(workspace, tmp_path, breakage):
+    root, cfg = workspace
+    bad = tmp_path / "manifest.json"
+    if breakage == "not json":
+        bad.write_text("{not json")
+    else:
+        manifest = json.loads((root / "ds" / "manifest.json").read_text())
+        del manifest["train_triplets"]
+        bad.write_text(json.dumps(manifest))
+    assert main(["eval", "--dump", str(root / "pred" / "predictions.jsonl"),
+                 "--manifest", str(bad), "--out", str(tmp_path / "ev")]) == 3
+
+
+# (id, config file eval section, --k-list)
+BAD_EVAL_CONFIGS = [
+    ("constraint_mode", {"constraint_mode": "restricted"}, None),
+    ("predcls_ranking", {"predcls_ranking": "one-hot"}, None),
+    ("mr_mode", {"mr_mode": "per-scene"}, None),
+    ("triplet_pool", {"triplet_pool": "global"}, None),
+    ("object_ks-zero", {"object_ks": [0, 1]}, None),
+    ("recall_ks-not-a-list", {"recall_ks": 20}, None),
+    ("k-list-zero", {}, "0"), ("k-list-negative", {}, "5,-1"), ("k-list-word", {}, "five"),
+]
+
+
+@pytest.mark.parametrize("section,k_list", [b[1:] for b in BAD_EVAL_CONFIGS],
+                         ids=[b[0] for b in BAD_EVAL_CONFIGS])
+def test_bad_eval_config_exit_code(workspace, tmp_path, section, k_list):
+    root, cfg = workspace
+    argv = ["eval", "--dump", str(root / "pred" / "predictions.jsonl"),
+            "--manifest", str(root / "ds" / "manifest.json"), "--out", str(tmp_path / "ev"),
+            "--config", write_config(tmp_path, eval=section)]
+    if k_list is not None:
+        argv += ["--k-list", k_list]
+    assert main(argv) == 2
+    assert not (tmp_path / "ev" / "report.json").exists()
+
+
 # flags a subcommand does not read; argparse must refuse each of them
 REMOVED_FLAGS = [
     ("generate", ["--strict"]), ("generate", ["--no-strict"]), ("generate", ["--workers", "2"]),

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sg3d.errors import DataError
 from sg3d.metrics import (EvalConfig, PredictionDump, ScenePrediction,
@@ -25,6 +29,22 @@ def random_scene(rng, n_obj, n_rel, k, scene_id="s"):
 def random_dump(rng, n_scenes=3, n_obj=5, n_rel=4, k_max=5):
     scenes = [random_scene(rng, n_obj, n_rel, int(rng.integers(2, k_max + 1)), f"s{i}")
               for i in range(n_scenes)]
+    return PredictionDump(scenes=scenes, n_obj=n_obj, n_rel=n_rel)
+
+
+def tied_dump(rng, n_scenes=3, n_obj=3, n_rel=3, k_max=4):
+    """Random dump whose scores are coarse enough to tie often: object rows are
+    normalised small integer weights, predicate scores are rounded to 0.25."""
+    scenes = []
+    for i in range(n_scenes):
+        k = int(rng.integers(1, k_max + 1))
+        e = k * (k - 1)
+        weights = rng.integers(1, 4, size=(k, n_obj)).astype(np.float64)
+        scenes.append(ScenePrediction(
+            scene_id=f"s{i}", object_probs=weights / weights.sum(axis=1, keepdims=True),
+            predicate_probs=rng.integers(0, 5, size=(e, n_rel)) / 4.0,
+            gt_objects=rng.integers(0, n_obj, size=k).astype(np.intp),
+            gt_predicate_rows=(rng.random((e, n_rel)) < 0.3).astype(np.uint8)))
     return PredictionDump(scenes=scenes, n_obj=n_obj, n_rel=n_rel)
 
 
@@ -268,3 +288,65 @@ class TestSplitsAndReport:
         dump.scenes[0].object_probs[0, 0] += 0.5
         with pytest.raises(DataError):
             evaluate(dump)
+
+
+MODES = list(itertools.product(("pair", "scene"), ("shared", "onehot"), ("pooled", "per_scene"),
+                               ("shared_pool", "restricted_pool")))
+
+
+@pytest.mark.parametrize("triplet_pool,predcls_ranking,mr_mode,constraint_mode", MODES,
+                         ids=["-".join(m) for m in MODES])
+def test_evaluate_matches_oracle_report(triplet_pool, predcls_ranking, mr_mode, constraint_mode):
+    rng = np.random.default_rng(31)
+    cfg = EvalConfig(object_ks=(1, 2, 5), predicate_ks=(1, 2, 3), triplet_ks=(1, 5, 30),
+                     recall_ks=(1, 3, 10, 40), triplet_pool=triplet_pool,
+                     predcls_ranking=predcls_ranking, mr_mode=mr_mode, constraint_mode=constraint_mode)
+    for _ in range(4):
+        dump = tied_dump(rng, n_scenes=int(rng.integers(1, 4)), n_obj=int(rng.integers(2, 5)),
+                         n_rel=int(rng.integers(2, 4)))
+        triples = sorted({r[2] for s in dump.scenes for r in oracle.oracle_triplet_records(s)})
+        train_triplets = {t for i, t in enumerate(triples) if i % 2 == 0}
+        splits = {"head": {0}, "tail": set(range(1, dump.n_rel))}
+        assert evaluate(dump, splits, train_triplets, cfg) == \
+            oracle.oracle_evaluate(dump, splits, train_triplets, cfg)
+
+
+RECALL_KS = (1, 2, 3, 5, 10, 30, 100)
+
+
+def _recall_report(seed, predcls_ranking, constraint_mode, mr_mode="pooled"):
+    dump = tied_dump(np.random.default_rng(seed), n_obj=3, n_rel=3, k_max=5)
+    return evaluate(dump, cfg=EvalConfig(recall_ks=RECALL_KS, predcls_ranking=predcls_ranking,
+                                         constraint_mode=constraint_mode, mr_mode=mr_mode))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
+def test_recall_monotone_in_k_for_every_variant(seed, mode):
+    _, predcls_ranking, mr_mode, constraint_mode = mode
+    report = _recall_report(seed, predcls_ranking, constraint_mode, mr_mode)
+    for task in ("sgcls", "predcls"):
+        for bucket in ("with_constraint", "no_constraint"):
+            values = [report[task][bucket]["R"][k] for k in RECALL_KS]
+            if values[0] is not None:
+                assert values == sorted(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["shared_pool", "restricted_pool"]))
+def test_predcls_geq_sgcls_under_shared_ranking(seed, constraint_mode):
+    report = _recall_report(seed, "shared", constraint_mode)
+    for bucket in ("with_constraint", "no_constraint"):
+        for k in RECALL_KS:
+            sg, pc = report["sgcls"][bucket]["R"][k], report["predcls"][bucket]["R"][k]
+            assert sg is None or pc >= sg
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["shared", "onehot"]))
+def test_no_constraint_geq_constraint_under_shared_pool(seed, predcls_ranking):
+    report = _recall_report(seed, predcls_ranking, "shared_pool")
+    for task in ("sgcls", "predcls"):
+        for k in RECALL_KS:
+            wc, nc = report[task]["with_constraint"]["R"][k], report[task]["no_constraint"]["R"][k]
+            assert wc is None or nc >= wc

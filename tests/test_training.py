@@ -327,6 +327,40 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             Checkpoint.load(path)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        samples, vocab, manifest = tiny_world()
+        mc, tc = tiny_configs(vlsat=False, epochs=1)
+        model, opt, _ = train(samples, vocab, provider_from_manifest(manifest), mc, tc)
+        path = tmp_path / "checkpoint.json"
+        Checkpoint.capture(model, opt, tc, next_epoch=1, vocab_hash=vocab.content_hash()).save(path)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr("sg3d.training.open", lambda *a, **kw: HalfWrite(open(*a, **kw)),
+                            raising=False)
+        later = Checkpoint.capture(model, opt, tc, next_epoch=2, vocab_hash=vocab.content_hash())
+        with pytest.raises(OSError, match="disk full"):
+            later.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert Checkpoint.load(path).payload["next_epoch"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
     def test_resume_reproduces_trajectory_bitwise(self):
         samples, vocab, manifest = tiny_world()
         provider = provider_from_manifest(manifest)
