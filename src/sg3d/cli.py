@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -166,45 +166,16 @@ def read_dataset(dataset_dir: Path, strict: bool = True, splits=("train", "valid
 
 
 # ---------------------------------------------------------------------------
-# commands
+# pipeline stages: each writes its artifacts into `out` and returns what the next one reads
 
 
-def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    wc = world_config(cfg, args.seed)
-    samples, vocab, manifest = generate_dataset(wc)
-    out = Path(args.out)
-    write_dataset(out, samples, vocab, manifest, {})
-    audit = manifest["separability_audit"]
-    log.info("generated %d scenes (%d train) into %s", len(samples),
-             sum(1 for s in samples if s.split == "train"), out)
-    log.info("predicate train frequencies: %s", manifest["predicate_train_frequency"])
-    for p, r in audit.items():
-        log.info("separability of predicate %s: geometry %.3f, with latent %.3f",
-                 p, r["geometry_balanced_accuracy"], r["latent_balanced_accuracy"])
-    return 0
-
-
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    dataset_dir = Path(args.dataset)
-    samples, vocab, manifest = read_dataset(dataset_dir, strict=args.strict, splits=("train",))
-    mc = model_config(cfg, manifest)
-    tc = train_config(cfg, args)
-    provider = provider_from_manifest(manifest)
-    out = Path(args.out)
+def train_stage(samples, vocab: Vocabulary, provider, mc: ModelConfig, tc: TrainConfig,
+                out: Path, resume: Checkpoint | None = None) -> Checkpoint:
+    """Train, writing train_log.jsonl (appended to when resuming) and checkpoint.json."""
     out.mkdir(parents=True, exist_ok=True)
-
-    resume = None
-    if args.resume:
-        resume = Checkpoint.load(args.resume)
-        if resume.vocab_hash != vocab.content_hash():
-            raise DataError("checkpoint vocabulary hash does not match the dataset")
-
-    log_path = out / "train_log.jsonl"
     mode = "oracle-assisted" if tc.vlsat else "baseline"
     log.info("training %s model for %d epochs on %d scenes", mode, tc.epochs, len(samples))
-    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as fh:
+    with open(out / "train_log.jsonl", "a" if resume else "w", encoding="utf-8") as fh:
         def hook(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
@@ -213,13 +184,14 @@ def cmd_train(args) -> int:
 
         model, optimizer, _ = train(samples, vocab, provider, mc, tc,
                                     resume=resume, log_hook=hook)
+    # the hash describes the model trained, which a resumed run takes from its checkpoint
     ck = Checkpoint.capture(model, optimizer, tc, next_epoch=tc.epochs,
                             vocab_hash=vocab.content_hash(),
-                            extra={"config_hash": config_hash(asdict(tc) | asdict(mc)),
+                            extra={"config_hash": config_hash(asdict(tc) | asdict(model.cfg)),
                                    "tool_version": __version__})
     ck.save(out / "checkpoint.json")
     log.info("wrote %s", out / "checkpoint.json")
-    return 0
+    return ck
 
 
 def _predict_scene(model: ModelState, sample) -> ScenePrediction:
@@ -242,49 +214,83 @@ def predict_dump(model: ModelState, samples, vocab_hash: str, cfg_hash: str) -> 
                           vocab_hash=vocab_hash, config_hash=cfg_hash)
 
 
-def cmd_predict(args) -> int:
-    dataset_dir = Path(args.dataset)
-    samples, vocab, manifest = read_dataset(dataset_dir, strict=args.strict, splits=(args.split,))
-    ck = Checkpoint.load(args.checkpoint)
-    if ck.vocab_hash != vocab.content_hash():
+def predict_stage(ck: Checkpoint, samples, vocab_hash: str, out: Path) -> PredictionDump:
+    """Predict `samples` with the checkpoint's model, writing predictions.jsonl."""
+    if ck.vocab_hash != vocab_hash:
         raise DataError("checkpoint vocabulary hash does not match the dataset")
     model, _, _ = ck.restore()
-    if not samples:
-        raise DataError(f"no scenes in split {args.split!r}")
-    dump = predict_dump(model, samples, vocab.content_hash(),
+    dump = predict_dump(model, samples, vocab_hash,
                         ck.payload.get("extra", {}).get("config_hash", ""))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.jsonl"
     path.write_text(dump_to_jsonl(dump, tool_version=__version__), encoding="utf-8")
     log.info("wrote %s (%d scenes)", path, len(dump.scenes))
-    return 0
+    return dump
 
 
-def _splits_from_manifest(manifest: dict) -> dict[str, set[int]]:
-    return {name: set(v) for name, v in manifest["predicate_splits"].items()}
-
-
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    ec = eval_config(cfg, args)
-    manifest = _read_json(Path(args.manifest), "manifest")
+def eval_stage(dump: PredictionDump, manifest_path: Path, ec: EvalConfig, out: Path) -> dict:
+    """Evaluate the dump against a dataset manifest, writing report.json and
+    report.csv; returns the report without the tool_version that report.json adds."""
+    manifest = _read_json(manifest_path, "manifest")
     try:
         vocab_hash = manifest["vocab_hash"]
         train_triplets = {tuple(t) for t in manifest["train_triplets"]}
-        splits = _splits_from_manifest(manifest)
+        splits = {name: set(v) for name, v in manifest["predicate_splits"].items()}
     except (KeyError, TypeError, AttributeError) as e:
-        raise DataError(f"manifest {args.manifest}: missing or malformed field ({e!r})") from e
-    dump = dump_from_jsonl(Path(args.dump).read_text(encoding="utf-8"))
+        raise DataError(f"manifest {manifest_path}: missing or malformed field ({e!r})") from e
     if dump.vocab_hash and dump.vocab_hash != vocab_hash:
         raise DataError("dump vocabulary hash does not match the manifest")
     report = evaluate(dump, predicate_splits=splits, train_triplets=train_triplets, cfg=ec)
-    report["tool_version"] = __version__
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1), encoding="utf-8")
+    (out / "report.json").write_text(json.dumps(report | {"tool_version": __version__},
+                                                sort_keys=True, indent=1), encoding="utf-8")
     (out / "report.csv").write_text(report_to_csv(report), encoding="utf-8")
     log.info("wrote %s and report.csv (%d rows)", out / "report.json", len(report_rows(report)))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def cmd_generate(args) -> int:
+    cfg = load_config(args.config)
+    wc = world_config(cfg, args.seed)
+    samples, vocab, manifest = generate_dataset(wc)
+    out = Path(args.out)
+    write_dataset(out, samples, vocab, manifest, {})
+    audit = manifest["separability_audit"]
+    log.info("generated %d scenes (%d train) into %s", len(samples),
+             sum(1 for s in samples if s.split == "train"), out)
+    log.info("predicate train frequencies: %s", manifest["predicate_train_frequency"])
+    for p, r in audit.items():
+        log.info("separability of predicate %s: geometry %.3f, with latent %.3f",
+                 p, r["geometry_balanced_accuracy"], r["latent_balanced_accuracy"])
+    return 0
+
+
+def cmd_train(args) -> int:
+    cfg = load_config(args.config)
+    samples, vocab, manifest = read_dataset(Path(args.dataset), strict=args.strict, splits=("train",))
+    mc, tc = model_config(cfg, manifest), train_config(cfg, args)
+    resume = Checkpoint.load(args.resume) if args.resume else None
+    train_stage(samples, vocab, provider_from_manifest(manifest), mc, tc, Path(args.out), resume)
+    return 0
+
+
+def cmd_predict(args) -> int:
+    samples, vocab, _ = read_dataset(Path(args.dataset), strict=args.strict, splits=(args.split,))
+    ck = Checkpoint.load(args.checkpoint)
+    if not samples:
+        raise DataError(f"no scenes in split {args.split!r}")
+    predict_stage(ck, samples, vocab.content_hash(), Path(args.out))
+    return 0
+
+
+def cmd_eval(args) -> int:
+    ec = eval_config(load_config(args.config), args)
+    dump = dump_from_jsonl(Path(args.dump).read_text(encoding="utf-8"))
+    eval_stage(dump, Path(args.manifest), ec, Path(args.out))
     return 0
 
 
@@ -293,13 +299,12 @@ def cmd_eval(args) -> int:
 
 
 def _metric_or_none(report: dict, path: list):
-    node = report
     for key in path:
-        if node is None:
-            return None
-        node = node.get(key) if isinstance(node, dict) else None
-    return node
+        report = report.get(key) if isinstance(report, dict) else None
+    return report
 
+
+EXPERIMENT_MODES = ("baseline", "vlsat")
 
 EXPERIMENT_HEADLINES = [
     ("object A@1", ["object", "A", 1]),
@@ -316,41 +321,29 @@ EXPERIMENT_HEADLINES = [
 
 def run_experiment_seed(base_dir: Path, seed: int, cfg: dict, args) -> dict:
     """generate -> train both models -> predict -> eval, for one seed."""
-    wc = world_config(cfg, seed)
-    samples, vocab, manifest = generate_dataset(wc)
+    samples, vocab, manifest = generate_dataset(world_config(cfg, seed))
     seed_dir = base_dir / f"seed_{seed}"
-    write_dataset(seed_dir / "dataset", samples, vocab, manifest, {})
-    manifest = read_manifest(seed_dir / "dataset")
+    dataset_dir = seed_dir / "dataset"
+    write_dataset(dataset_dir, samples, vocab, manifest, {})
+    manifest = read_manifest(dataset_dir)
     provider = provider_from_manifest(manifest)
     mc = model_config(cfg, manifest)
-    splits = _splits_from_manifest(manifest)
-    train_triplets = {tuple(t) for t in manifest["train_triplets"]}
     ec = eval_config(cfg, args)
+    train_set = [s for s in samples if s.split == "train"]
     val = [s for s in samples if s.split == "validation"]
 
     results = {}
-    for mode in ("baseline", "vlsat"):
-        tc = train_config(cfg, args)
-        tc.vlsat = mode == "vlsat"
+    for mode in EXPERIMENT_MODES:
+        tc = replace(train_config(cfg, args), vlsat=mode == "vlsat")
         log.info("seed %d: training %s", seed, mode)
-        model, optimizer, logs = train(samples, vocab, provider, mc, tc)
-        mode_dir = seed_dir / mode
-        mode_dir.mkdir(parents=True, exist_ok=True)
-        with open(mode_dir / "train_log.jsonl", "w", encoding="utf-8") as fh:
-            for rec in logs:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        ck = Checkpoint.capture(model, optimizer, tc, tc.epochs, vocab.content_hash(),
-                                extra={"config_hash": config_hash(asdict(tc) | asdict(mc)),
-                                       "tool_version": __version__})
-        ck.save(mode_dir / "checkpoint.json")
-        dump = predict_dump(model, val, vocab.content_hash(),
-                            config_hash(asdict(tc) | asdict(mc)))
-        (mode_dir / "predictions.jsonl").write_text(dump_to_jsonl(dump, __version__), encoding="utf-8")
-        report = evaluate(dump, predicate_splits=splits, train_triplets=train_triplets, cfg=ec)
-        (mode_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1),
-                                              encoding="utf-8")
-        results[mode] = report
+        ck = train_stage(train_set, vocab, provider, mc, tc, seed_dir / mode)
+        dump = predict_stage(ck, val, vocab.content_hash(), seed_dir / mode)
+        results[mode] = eval_stage(dump, dataset_dir / "manifest.json", ec, seed_dir / mode)
     return results
+
+
+def _cell(value) -> str:
+    return f"{(100 * value if value is not None else float('nan')):8.2f}"
 
 
 def cmd_experiment(args) -> int:
@@ -365,33 +358,19 @@ def cmd_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    per_seed = {}
-    for seed in seeds:
-        per_seed[seed] = run_experiment_seed(out, seed, cfg, args)
+    per_seed = {seed: run_experiment_seed(out, seed, cfg, args) for seed in seeds}
 
-    means = {"baseline": {}, "vlsat": {}}
+    # columns: (seed, mode) for every seed, then the per-mode means over seeds
+    means = {mode: {} for mode in EXPERIMENT_MODES}
+    lines = [f"{'metric':22s} " + " ".join(f"{f'seed {s}':>17s}" for s in seeds) + f" {'mean':>17s}",
+             f"{'':22s} " + " ".join(f"{'base':>8s} {'vlsat':>8s}" for _ in range(len(seeds) + 1))]
     for name, path in EXPERIMENT_HEADLINES:
-        for mode in ("baseline", "vlsat"):
-            vals = [_metric_or_none(per_seed[s][mode], path) for s in seeds]
-            vals = [v for v in vals if v is not None]
+        cells = [_metric_or_none(per_seed[s][mode], path) for s in seeds for mode in EXPERIMENT_MODES]
+        for m, mode in enumerate(EXPERIMENT_MODES):
+            vals = [v for v in cells[m::len(EXPERIMENT_MODES)] if v is not None]
             means[mode][name] = sum(vals) / len(vals) if vals else None
-
-    lines = []
-    header = f"{'metric':22s} " + " ".join(f"{f'seed {s}':>17s}" for s in seeds) + f" {'mean':>17s}"
-    sub = f"{'':22s} " + " ".join(f"{'base':>8s} {'vlsat':>8s}" for _ in seeds) + f" {'base':>8s} {'vlsat':>8s}"
-    lines.append(header)
-    lines.append(sub)
-    for name, path in EXPERIMENT_HEADLINES:
-        row = f"{name:22s} "
-        for s in seeds:
-            b = _metric_or_none(per_seed[s]["baseline"], path)
-            v = _metric_or_none(per_seed[s]["vlsat"], path)
-            row += f"{(100 * b if b is not None else float('nan')):8.2f} "
-            row += f"{(100 * v if v is not None else float('nan')):8.2f} "
-        mb, mv = means["baseline"][name], means["vlsat"][name]
-        row += f"{(100 * mb if mb is not None else float('nan')):8.2f} "
-        row += f"{(100 * mv if mv is not None else float('nan')):8.2f}"
-        lines.append(row)
+        cells += [means[mode][name] for mode in EXPERIMENT_MODES]
+        lines.append(f"{name:22s} " + " ".join(_cell(v) for v in cells))
     print("\n".join(lines))
 
     for headline in ("tail mA@1", "unseen A@50"):

@@ -158,42 +158,43 @@ def mean_topk_accuracy(scores: np.ndarray, gt, k: int,
     return _class_mean(ranks, classes, np.shape(scores)[1], k, class_subset)
 
 
-@dataclass
-class TripletRecord:
-    predicate: int
-    rank: int
-    key: tuple[int, int, int]  # (subject class, predicate, object class)
-
-
-def triplet_records(scene: ScenePrediction, pool: str = "pair") -> list[TripletRecord]:
-    """Rank every gt relation among its candidate triplets: its pair's cube of
-    (P_subj(s) * P_pred(p)) * P_obj(o), or with pool="scene" every pair's."""
+def triplet_records(scene: ScenePrediction, pool: str = "pair") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank, predicate and (subject class, predicate, object class) key of every
+    gt relation, ranked among its pair's cube of (P_subj(s) * P_pred(p)) * P_obj(o),
+    or with pool="scene" among every pair's."""
     if pool not in ("pair", "scene"):
         raise DataError(f"unknown triplet pool {pool!r}")
     n_obj = scene.object_probs.shape[1]
     n_rel = scene.predicate_probs.shape[1]
     pair_i, pair_j = pair_index_arrays(scene.k)
-    cubes = ((scene.object_probs[pair_i][:, :, None] * scene.predicate_probs[:, None, :])[..., None]
-             * scene.object_probs[pair_j][:, None, None, :]).reshape(len(pair_i), n_obj * n_rel * n_obj)
     ev_pair, ev_pred = np.nonzero(scene.gt_predicate_rows)
     subj, obj = scene.gt_objects[pair_i[ev_pair]], scene.gt_objects[pair_j[ev_pair]]
     pos = (subj * n_rel + ev_pred) * n_obj + obj
+    # the pair pool needs only the cubes of the relations' own pairs
+    rows = ev_pair if pool == "pair" else np.arange(len(pair_i))
+    cubes = ((scene.object_probs[pair_i[rows]][:, :, None]
+              * scene.predicate_probs[rows][:, None, :])[..., None]
+             * scene.object_probs[pair_j[rows]][:, None, None, :]).reshape(len(rows), n_obj * n_rel * n_obj)
     if pool == "pair":
-        ranks = _rank(cubes[ev_pair], pos)
+        ranks = _rank(cubes, pos)
     else:  # one relation at a time, never an (events x scene cubes) matrix
-        ranks = [_rank(cubes.ravel(), [e * cubes.shape[1] + q])[0] for e, q in zip(ev_pair, pos)]
-    return [TripletRecord(predicate=int(p), rank=int(r), key=(int(s), int(p), int(o)))
-            for p, r, s, o in zip(ev_pred, ranks, subj, obj)]
+        ranks = np.array([_rank(cubes.ravel(), [e * cubes.shape[1] + q])[0] for e, q in zip(ev_pair, pos)],
+                         dtype=np.intp)
+    return ranks, ev_pred, np.stack([subj, ev_pred, obj], axis=1)
 
 
-def _record_arrays(records: list[TripletRecord]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([r.rank for r in records], dtype=np.intp),
-            np.array([r.predicate for r in records], dtype=np.intp))
+_NO_TRIPLETS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros((0, 3), dtype=np.intp))
 
 
-def _seen_unseen(records: list[TripletRecord], ranks: np.ndarray,
+def _dump_triplets(dump: PredictionDump, pool: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`triplet_records` of every scene, concatenated in scene order."""
+    per_scene = [_NO_TRIPLETS] + [triplet_records(s, pool) for s in dump.scenes]
+    return tuple(np.concatenate(column) for column in zip(*per_scene))
+
+
+def _seen_unseen(ranks: np.ndarray, keys: np.ndarray,
                  train_triplets: set[tuple[int, int, int]], ks) -> dict:
-    seen = np.array([r.key in train_triplets for r in records], dtype=bool)
+    seen = np.array([tuple(key) in train_triplets for key in keys.tolist()], dtype=bool)
     return {"seen": {k: _share(ranks[seen], k) for k in ks},
             "unseen": {k: _share(ranks[~seen], k) for k in ks},
             "seen_count": int(seen.sum()), "unseen_count": int((~seen).sum())}
@@ -201,15 +202,15 @@ def _seen_unseen(records: list[TripletRecord], ranks: np.ndarray,
 
 def triplet_topk(dump: PredictionDump, k: int, pool: str = "pair") -> dict:
     """Triplet A@k and mA@k over all gt relations in the dump."""
-    ranks, preds = _record_arrays([r for s in dump.scenes for r in triplet_records(s, pool)])
+    ranks, preds, _ = _dump_triplets(dump, pool)
     return {"A": _share(ranks, k), "mA": _class_mean(ranks, preds, dump.n_rel, k)}
 
 
 def seen_unseen_report(dump: PredictionDump, train_triplets: set[tuple[int, int, int]],
                        ks=TRIPLET_KS, pool: str = "pair") -> dict:
     """Triplet A@k restricted to relations whose class triple was / wasn't seen in training."""
-    records = [r for s in dump.scenes for r in triplet_records(s, pool)]
-    return _seen_unseen(records, _record_arrays(records)[0], train_triplets, ks)
+    ranks, _, keys = _dump_triplets(dump, pool)
+    return _seen_unseen(ranks, keys, train_triplets, ks)
 
 
 RECALL_VARIANTS = tuple((task, constraint) for task in ("sgcls", "predcls") for constraint in (True, False))
@@ -353,8 +354,7 @@ def evaluate(dump: PredictionDump, predicate_splits: dict[str, set[int]] | None 
         if dump.scenes else np.zeros((0, dump.n_rel))
     obj_ranks, _ = _events(obj_scores, obj_labels)
     pred_ranks, pred_classes = _events(pred_scores, pred_gt)
-    records = [r for s in dump.scenes for r in triplet_records(s, cfg.triplet_pool)]
-    trip_ranks, trip_preds = _record_arrays(records)
+    trip_ranks, trip_preds, trip_keys = _dump_triplets(dump, cfg.triplet_pool)
     recall = _recall(dump, RECALL_VARIANTS, cfg.recall_ks, cfg.predcls_ranking, cfg.mr_mode,
                      cfg.constraint_mode)
 
@@ -397,7 +397,7 @@ def evaluate(dump: PredictionDump, predicate_splits: dict[str, set[int]] | None 
                 k: _class_mean(pred_ranks, pred_classes, dump.n_rel, k, set(classes))
                 for k in cfg.predicate_ks if k <= dump.n_rel}
     if train_triplets is not None:
-        report["seen_unseen"] = _seen_unseen(records, trip_ranks, train_triplets, cfg.triplet_ks)
+        report["seen_unseen"] = _seen_unseen(trip_ranks, trip_keys, train_triplets, cfg.triplet_ks)
     return report
 
 

@@ -243,7 +243,6 @@ class PreparedScene:
     obj: np.ndarray
     avg_matrix: np.ndarray        # (K, E) averaging over outgoing edges
     descriptors: np.ndarray       # (E, 11)
-    mask_rows: np.ndarray         # (K*K, 4)
     visual: np.ndarray | None
     gt_objects: np.ndarray        # (K,)
     gt_pred_rows: np.ndarray      # (E, N_rel)
@@ -265,7 +264,6 @@ def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
         obj=obj,
         avg_matrix=avg,
         descriptors=encoders.descriptor_matrix(attrs, pairs),
-        mask_rows=mask_input_matrix(attrs),
         visual=sample.visual_features,
         gt_objects=np.array([inst.gt_class for inst in sample.instances], dtype=np.intp),
         gt_pred_rows=predicate_gt_rows(sample),

@@ -158,12 +158,19 @@ def _check_fields(obj: dict, allowed: set, where: str, strict: bool) -> None:
         log.warning("%s: ignoring unknown fields %s", where, sorted(unknown))
 
 
+def _typed(value, kind: type, what: str, where: str):
+    """`value` when it has JSON type `kind` (a bool is not an integer)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"{where}: {what} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> SceneGraphSample:
     _check_fields(record, SCENE_FIELDS, where, strict)
     for key in ("scene_id", "split", "instances", "relations"):
         if key not in record:
             raise DataError(f"{where}: missing field '{key}'")
-    scene_id = str(record["scene_id"])
+    scene_id = _typed(record["scene_id"], str, "scene_id", where)
     where = f"{where} (scene {scene_id})"
     split = record["split"]
     if split not in ("train", "validation"):
@@ -171,15 +178,15 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
 
     instances = []
     ids_seen = set()
-    for inst in record["instances"]:
+    for inst in _typed(record["instances"], list, "instances", where):
         _check_fields(inst, INSTANCE_FIELDS, where, strict)
-        iid = int(inst["id"])
+        iid = _typed(inst["id"], int, "instance id", where)
         if iid < 0:
             raise DataError(f"{where}: negative instance id {iid}")
         if iid in ids_seen:
             raise DataError(f"{where}: duplicate instance id {iid}")
         ids_seen.add(iid)
-        cls = int(inst["class"])
+        cls = _typed(inst["class"], int, f"instance {iid} class", where)
         if not 0 <= cls < vocab.n_obj:
             raise DataError(f"{where}: object class {cls} out of range [0, {vocab.n_obj})")
         pts = np.asarray(inst["points"], dtype=np.float64)
@@ -195,15 +202,16 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
     id_to_index = {inst.instance_id: idx for idx, inst in enumerate(instances)}
 
     gt = np.zeros((k, k, vocab.n_rel), dtype=np.uint8)
-    for rel in record["relations"]:
+    for rel in _typed(record["relations"], list, "relations", where):
         _check_fields(rel, RELATION_FIELDS, where, strict)
-        sid, oid = int(rel["subject_id"]), int(rel["object_id"])
+        sid = _typed(rel["subject_id"], int, "relation subject_id", where)
+        oid = _typed(rel["object_id"], int, "relation object_id", where)
         if sid not in id_to_index or oid not in id_to_index:
             raise DataError(f"{where}: relation references unknown instance id {sid if sid not in id_to_index else oid}")
         if sid == oid:
             raise DataError(f"{where}: self-relation on instance {sid}")
-        for p in rel["predicates"]:
-            p = int(p)
+        for p in _typed(rel["predicates"], list, "relation predicates", where):
+            p = _typed(p, int, "predicate index", where)
             if not 0 <= p < vocab.n_rel:
                 raise DataError(f"{where}: predicate index {p} out of range [0, {vocab.n_rel})")
             gt[id_to_index[sid], id_to_index[oid], p] = 1
@@ -239,7 +247,10 @@ def load_scene_file(path, vocab: Vocabulary, strict: bool = True,
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{where}: malformed JSON ({e})") from e
-            sample = _parse_scene(record, vocab, where, strict)
+            try:
+                sample = _parse_scene(record, vocab, where, strict)
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"{where}: malformed scene record ({type(e).__name__}: {e})") from e
             if split is not None and sample.split != split:
                 raise DataError(f"{where} (scene {sample.scene_id}): split {sample.split!r} "
                                 f"in the {split} file")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -312,13 +312,14 @@ def train(samples: list[SceneGraphSample], vocab: Vocabulary,
     if vlsat and provider is None:
         raise DataError("oracle-assisted training requires an embedding provider")
 
-    model_cfg.joint = vlsat
     if resume is not None:
+        if resume.vocab_hash != vocab.content_hash():
+            raise DataError("checkpoint vocabulary hash does not match the dataset")
         if resume.train_config.vlsat != vlsat:
             raise ConfigError(f"cannot resume a vlsat={not vlsat} checkpoint with vlsat={vlsat}")
         model, optimizer, start_epoch = resume.restore()
     else:
-        model = ModelState(model_cfg)
+        model = ModelState(replace(model_cfg, joint=vlsat))
         init_emb = train_cfg.init_classifiers_from_embeddings
         if init_emb is None:
             init_emb = vlsat
@@ -377,9 +378,26 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
-def _decode_array(blob: dict) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8")
-    return arr.reshape(blob["shape"]).copy()
+def _decode_array(blob: dict, shape: tuple, where: str) -> np.ndarray:
+    """A blob of `_encode_array` that must decode to exactly `shape`."""
+    try:
+        arr = np.frombuffer(base64.b64decode(blob["data"], validate=True), dtype="<f8")
+        ok = list(blob["shape"]) == list(shape) and arr.size == int(np.prod(shape))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint {where} cannot be decoded: {e}") from e
+    if not ok:
+        raise DataError(f"checkpoint {where} does not hold a {shape} array")
+    return arr.reshape(shape).copy()
+
+
+def _config(cls, values, where: str):
+    """`cls` from a checkpoint's config section, which must name every field."""
+    names = {f.name for f in fields(cls)}
+    if not isinstance(values, dict) or set(values) != names:
+        got = sorted(values) if isinstance(values, dict) else type(values).__name__
+        raise DataError(f"checkpoint {where} keys {got} are not those of {cls.__name__}: "
+                        f"{sorted(names)}")
+    return cls(**values)
 
 
 class Checkpoint:
@@ -437,8 +455,11 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("kind") != "sg3d-checkpoint":
+            try:
+                payload = json.load(fh)
+            except ValueError as e:
+                raise DataError(f"{path}: checkpoint is not valid JSON: {e}") from e
+        if not isinstance(payload, dict) or payload.get("kind") != "sg3d-checkpoint":
             raise DataError(f"{path}: not a checkpoint file")
         if payload.get("format_version") != cls.FORMAT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version")
@@ -448,11 +469,11 @@ class Checkpoint:
 
     @property
     def model_config(self) -> ModelConfig:
-        return ModelConfig(**self.payload["model_config"])
+        return _config(ModelConfig, self.payload["model_config"], "model_config")
 
     @property
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self.payload["train_config"])
+        return _config(TrainConfig, self.payload["train_config"], "train_config")
 
     @property
     def vocab_hash(self) -> str:
@@ -463,15 +484,17 @@ class Checkpoint:
         saved = self.payload["params"]
         if set(saved) != set(model.params):
             raise DataError("checkpoint parameter names do not match the model configuration")
+        shapes = {name: p.data.shape for name, p in model.params.items()}
         for name, blob in saved.items():
-            arr = _decode_array(blob)
-            if arr.shape != model.params[name].data.shape:
-                raise DataError(f"checkpoint parameter {name} has shape {arr.shape}")
-            model.params[name].data = arr
+            model.params[name].data = _decode_array(blob, shapes[name], f"parameter {name}")
         tc = self.train_config
         optimizer = AdamW(model.params, betas=(tc.beta1, tc.beta2), eps=tc.eps,
                           weight_decay=tc.weight_decay)
         optimizer.step_count = self.payload["optimizer"]["step"]
-        optimizer.m = {k: _decode_array(v) for k, v in self.payload["optimizer"]["m"].items()}
-        optimizer.v = {k: _decode_array(v) for k, v in self.payload["optimizer"]["v"].items()}
+        for moment in ("m", "v"):
+            blobs = self.payload["optimizer"][moment]
+            if set(blobs) != set(shapes):
+                raise DataError(f"checkpoint optimizer.{moment} names do not match the parameters")
+            setattr(optimizer, moment, {k: _decode_array(v, shapes[k], f"optimizer.{moment}.{k}")
+                                        for k, v in blobs.items()})
         return model, optimizer, self.payload["next_epoch"]

@@ -3,9 +3,12 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from sg3d.cli import build_parser, main
+from sg3d.cli import build_parser, config_hash, main
 from sg3d.metrics import dump_from_jsonl
+from sg3d.training import Checkpoint
 
 
 def write_config(tmp_path, **sections):
@@ -124,6 +127,87 @@ class TestTrain:
         assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "r"),
                      "--config", cfg]) == 3
 
+    def test_resumed_hash_describes_trained_model(self, workspace, tmp_path):
+        # the resumed model keeps the checkpoint's single layer whatever the
+        # config says, so the provenance hash must be taken from that model
+        root, cfg = workspace
+        cfg2 = write_config(tmp_path,
+                            model={"d": 16, "hidden": 16, "heads": 2, "layers": 2, "d_emb": 16},
+                            train={"epochs": 5, "batch_size": 4, "seed": 1})
+        assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "r"),
+                     "--config", cfg2, "--vlsat", "--resume",
+                     str(root / "run" / "checkpoint.json")]) == 0
+        payload = Checkpoint.load(tmp_path / "r" / "checkpoint.json").payload
+        assert payload["model_config"]["layers"] == 1
+        assert payload["extra"]["config_hash"] == \
+            config_hash(payload["train_config"] | payload["model_config"])
+
+
+_DELETE = "<delete>"
+_DANGLING = "<dangling>"
+
+# (record part, field, replacement): _DELETE removes the field, _DANGLING
+# points the relation at an instance id the scene does not have
+SCENE_CORRUPTIONS = (
+    [("scene", f, _DELETE) for f in ("scene_id", "split", "instances", "relations")]
+    + [("instance", f, _DELETE) for f in ("id", "class", "points")]
+    + [("relation", f, _DELETE) for f in ("subject_id", "object_id", "predicates")]
+    + [("scene", "scene_id", v) for v in (5, None, ["s"])]
+    + [("scene", "split", v) for v in (5, None, "test")]
+    + [("scene", f, v) for f in ("instances", "relations") for v in (5, "x", {"a": 1}, {}, None)]
+    + [("scene", "instances", [])]  # K = 0
+    + [("scene", "visual_features", v) for v in (5, "x", {"a": 1}, [["a"]], [[1.0]])]
+    + [("instance", f, v) for f in ("id", "class") for v in ("abc", "7", 1.5, True, None, [1])]
+    + [("instance", "points", v)
+       for v in (5, "x", {"a": 1}, None, [], [[0.0, 0.0]], [["a", 0, 0]], [[0, 0, 0], [1, 2]])]
+    + [("relation", f, v) for f in ("subject_id", "object_id") for v in ("abc", 1.5, None, [1], _DANGLING)]
+    + [("relation", "predicates", v) for v in (5, "x", {"a": 1}, None, ["7"], [1.5], [None], [[1]])]
+)
+
+
+@pytest.fixture
+def corrupted_dataset(workspace, tmp_path):
+    """A copy of the workspace dataset, and the lines of its train.jsonl."""
+    root, _ = workspace
+    shutil.copytree(root / "ds", tmp_path / "ds")
+    return tmp_path / "ds", (root / "ds" / "train.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+# every example rewrites train.jsonl and clears the log, so sharing the
+# function-scoped fixtures between examples is safe
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corruption=st.sampled_from(SCENE_CORRUPTIONS), line=st.integers(0, 50),
+       pick=st.integers(0, 50), strict=st.booleans())
+@example(corruption=("instance", "id", _DELETE), line=0, pick=0, strict=True)
+@example(corruption=("instance", "class", "abc"), line=0, pick=0, strict=True)
+@example(corruption=("relation", "predicates", _DELETE), line=0, pick=0, strict=True)
+@example(corruption=("scene", "instances", 5), line=0, pick=0, strict=True)
+@example(corruption=("instance", "points", "x"), line=0, pick=0, strict=True)
+@example(corruption=("scene", "visual_features", [["a"]]), line=0, pick=0, strict=True)
+def test_corrupted_scene_record_exit_code(corrupted_dataset, caplog, corruption, line, pick, strict):
+    ds, lines = corrupted_dataset
+    part, field, value = corruption
+    # relation corruptions go to a scene that has relations
+    candidates = [n for n, ln in enumerate(lines) if part != "relation" or json.loads(ln)["relations"]]
+    n = candidates[line % len(candidates)]
+    record = json.loads(lines[n])
+    target = {"scene": lambda: record,
+              "instance": lambda: record["instances"][pick % len(record["instances"])],
+              "relation": lambda: record["relations"][pick % len(record["relations"])]}[part]()
+    if value == _DELETE:
+        del target[field]
+    elif value == _DANGLING:
+        target[field] = max(inst["id"] for inst in record["instances"]) + 1 + pick
+    else:
+        target[field] = value
+    (ds / "train.jsonl").write_text("\n".join(lines[:n] + [json.dumps(record)] + lines[n + 1:]) + "\n",
+                                    encoding="utf-8")
+    caplog.clear()
+    argv = ["train", "--dataset", str(ds), "--out", str(ds / "run")]
+    assert main(argv + ([] if strict else ["--no-strict"])) == 3
+    assert f"train.jsonl:{n + 1}" in caplog.records[-1].getMessage()
+    assert not (ds / "run").exists()
+
 
 @pytest.mark.parametrize("command", ["train", "predict"])
 def test_split_field_mismatch_exit_code(workspace, tmp_path, caplog, command):
@@ -188,6 +272,50 @@ class TestPredict:
                      "--config", cfg2]) == 0
         assert main(["predict", "--dataset", str(tmp_path / "other"), "--out", str(tmp_path / "p"),
                      "--checkpoint", str(root / "run" / "checkpoint.json")]) == 3
+
+
+def _grow_first_param(payload):
+    blob = payload["params"][sorted(payload["params"])[0]]
+    blob["shape"] = [blob["shape"][0] + 1] + blob["shape"][1:]
+
+
+def _flatten_a_matrix_moment(payload):
+    blob = next(b for _, b in sorted(payload["optimizer"]["v"].items()) if len(b["shape"]) == 2)
+    blob["shape"] = [int(np.prod(blob["shape"]))]
+
+
+# (id, edit of the checkpoint payload; the content hash is recomputed after it)
+BAD_CHECKPOINTS = [
+    ("train-config-extra-key", lambda p: p["train_config"].update(bogus=1)),
+    ("model-config-missing-heads", lambda p: p["model_config"].pop("heads")),
+    ("moment-missing-name", lambda p: p["optimizer"]["m"].pop(sorted(p["optimizer"]["m"])[0])),
+    ("blob-shape-mismatch", _grow_first_param),
+    ("moment-blob-flattened", _flatten_a_matrix_moment),
+]
+
+
+@pytest.mark.parametrize("edit", [b[1] for b in BAD_CHECKPOINTS], ids=[b[0] for b in BAD_CHECKPOINTS])
+def test_malformed_checkpoint_exit_code(workspace, tmp_path, edit):
+    root, cfg = workspace
+    payload = json.loads((root / "run" / "checkpoint.json").read_text())
+    edit(payload)
+    payload["content_hash"] = Checkpoint._hash(payload)
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["predict", "--dataset", str(root / "ds"), "--out", str(tmp_path / "p"),
+                 "--checkpoint", str(bad)]) == 3
+    assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "r"),
+                 "--config", cfg, "--vlsat", "--epochs", "5", "--resume", str(bad)]) == 3
+    assert not (tmp_path / "p" / "predictions.jsonl").exists()
+    assert not (tmp_path / "r" / "checkpoint.json").exists()
+
+
+def test_checkpoint_not_json_exit_code(workspace, tmp_path):
+    root, cfg = workspace
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text("{not json")
+    assert main(["predict", "--dataset", str(root / "ds"), "--out", str(tmp_path / "p"),
+                 "--checkpoint", str(bad)]) == 3
 
 
 class TestEval:
@@ -416,6 +544,18 @@ class TestExperimentSmoke:
         summary = json.loads((tmp_path / "exp" / "comparison.json").read_text())
         assert summary["seeds"] == [5]
         assert set(summary["per_seed"]["5"]) == {"baseline", "vlsat"}
+        # each mode directory holds what `sg3d train`, `predict` and `eval` write
+        dataset = tmp_path / "exp" / "seed_5" / "dataset"
         for mode in ("baseline", "vlsat"):
-            assert (tmp_path / "exp" / "seed_5" / mode / "report.json").exists()
-            assert (tmp_path / "exp" / "seed_5" / mode / "checkpoint.json").exists()
+            mode_dir = tmp_path / "exp" / "seed_5" / mode
+            assert sorted(p.name for p in mode_dir.iterdir()) == [
+                "checkpoint.json", "predictions.jsonl", "report.csv", "report.json", "train_log.jsonl"]
+            assert main(["predict", "--dataset", str(dataset), "--out", str(tmp_path / f"p_{mode}"),
+                         "--checkpoint", str(mode_dir / "checkpoint.json")]) == 0
+            assert main(["eval", "--config", cfg, "--dump", str(mode_dir / "predictions.jsonl"),
+                         "--manifest", str(dataset / "manifest.json"),
+                         "--out", str(tmp_path / f"ev_{mode}")]) == 0
+            assert (mode_dir / "predictions.jsonl").read_bytes() == \
+                (tmp_path / f"p_{mode}" / "predictions.jsonl").read_bytes()
+            for name in ("report.json", "report.csv"):
+                assert (mode_dir / name).read_bytes() == (tmp_path / f"ev_{mode}" / name).read_bytes()

@@ -10,7 +10,7 @@ from sg3d.metrics import (EvalConfig, PredictionDump, ScenePrediction,
                           accuracy_events, dump_from_jsonl, dump_to_jsonl,
                           evaluate, mean_topk_accuracy, recall_at_k,
                           report_rows, report_to_csv, seen_unseen_report,
-                          topk_accuracy, triplet_topk)
+                          topk_accuracy, triplet_records, triplet_topk)
 
 import metric_oracle as oracle
 
@@ -133,6 +133,14 @@ class TestTripletTopk:
         dump = PredictionDump([scene], 3, 2)
         for k in (1, 3, 9, 18):
             assert triplet_topk(dump, k) == oracle.oracle_triplet_topk(dump, k)
+
+    @pytest.mark.parametrize("pool", ["pair", "scene"])
+    def test_records_match_oracle(self, pool):
+        rng = np.random.default_rng(12)
+        for scene in tied_dump(rng, n_scenes=8).scenes:
+            ranks, preds, keys = triplet_records(scene, pool)
+            assert list(zip(preds.tolist(), ranks.tolist(), map(tuple, keys.tolist()))) == \
+                oracle.oracle_triplet_records(scene, pool)
 
     def test_scene_pool_matches_oracle(self):
         rng = np.random.default_rng(6)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -269,6 +270,16 @@ class TestTrainLoop:
             assert rec["loss_tri"] is None and rec["loss_node"] is None
             assert rec["loss_obj_or"] is None
 
+    @pytest.mark.parametrize("vlsat", [True, False])
+    def test_leaves_its_arguments_unchanged(self, vlsat):
+        samples, vocab, manifest = tiny_world()
+        mc, tc = tiny_configs(vlsat=vlsat, epochs=1)
+        mc.joint = not vlsat
+        before = asdict(mc), asdict(tc)
+        model, _, _ = train(samples, vocab, provider_from_manifest(manifest), mc, tc)
+        assert (asdict(mc), asdict(tc)) == before
+        assert model.cfg.joint == vlsat
+
     def test_seed_reproducible_bitwise(self):
         samples, vocab, manifest = tiny_world()
         provider = provider_from_manifest(manifest)
@@ -396,6 +407,16 @@ class TestCheckpoint:
         mc2, tc2 = tiny_configs(vlsat=not saved_vlsat, epochs=2)
         with pytest.raises(ConfigError, match="vlsat"):
             train(samples, vocab, provider, mc2, tc2, resume=ck)
+
+
+    def test_resume_with_another_vocabulary_refused(self):
+        samples, vocab, manifest = tiny_world()
+        provider = provider_from_manifest(manifest)
+        mc, tc = tiny_configs(vlsat=False, epochs=1)
+        model, opt, _ = train(samples, vocab, provider, mc, tc)
+        ck = Checkpoint.capture(model, opt, tc, next_epoch=1, vocab_hash="0" * 16)
+        with pytest.raises(DataError, match="vocabulary"):
+            train(samples, vocab, provider, mc, TrainConfig(**{**asdict(tc), "epochs": 2}), resume=ck)
 
 
 # ---------------------------------------------------------------------------
