@@ -31,7 +31,7 @@ _TAPE: "Tape | None" = None
 
 
 class Tape:
-    """Ordered record of backward closures for one forward computation.
+    """Ordered (output, backward closure) records of one forward computation.
 
     Single-threaded by construction: at most one tape is active at a time.
     """
@@ -56,8 +56,9 @@ class Tape:
         if loss.data.size != 1:
             raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
         loss.grad = np.ones_like(loss.data)
-        for record in reversed(self.records):
-            record()
+        for out, backward in reversed(self.records):
+            if out.grad is not None:
+                backward(out.grad)
         self.records.clear()
 
 
@@ -91,34 +92,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -142,7 +115,8 @@ def _check_finite(data: np.ndarray) -> None:
 
 
 def _from_op(data: np.ndarray, inputs: tuple, backward) -> Tensor:
-    """Wrap an op result; record `backward(g)` on the active tape if needed."""
+    """Wrap an op result; record (out, backward) on the active tape if needed;
+    replay calls `backward(out.grad)` once the output has a gradient."""
     _check_finite(data)
     out = object.__new__(Tensor)
     out.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
@@ -151,13 +125,7 @@ def _from_op(data: np.ndarray, inputs: tuple, backward) -> Tensor:
     tape = _TAPE
     if tape is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
-
-        def record():
-            g = out.grad
-            if g is not None:
-                backward(g)
-
-        tape.records.append(record)
+        tape.records.append((out, backward))
     return out
 
 

@@ -79,25 +79,22 @@ def encode_nodes_3d(point_sets: list[np.ndarray], params: dict[str, Tensor]) -> 
 
 def edge_descriptor(attr_i: InstanceAttributes, attr_j: InstanceAttributes) -> np.ndarray:
     """Raw 11-dim pair descriptor; exactly antisymmetric under (i, j) swap."""
-    return descriptor_matrix([attr_i, attr_j], [(0, 1)])[0]
+    return descriptor_matrix([attr_i, attr_j], [0], [1])[0]
 
 
-def descriptor_matrix(attrs: list[InstanceAttributes], pairs: list[tuple[int, int]]) -> np.ndarray:
-    """(E, 11) descriptors of the listed ordered pairs, in their order.
+def descriptor_matrix(attrs: list[InstanceAttributes], subj, obj) -> np.ndarray:
+    """(E, 11) descriptors of the ordered pairs (subj[e], obj[e]), in their order.
 
     Each instance's row (mean, std, extent, log max side, log volume) is
     built once; a descriptor is the difference of two rows, so swapping a
     pair negates it bitwise.
     """
-    if not pairs:
-        return np.zeros((0, EDGE_DESCRIPTOR_WIDTH))
     rows = np.concatenate([
         np.stack([a.mean for a in attrs]),
         np.stack([a.std for a in attrs]),
         np.stack([a.bbox_size for a in attrs]),
         np.log(np.array([[a.max_side, a.volume] for a in attrs])),
     ], axis=1)
-    subj, obj = np.asarray(pairs, dtype=np.intp).T
     out = rows[subj] - rows[obj]
     if not np.all(np.isfinite(out)):
         raise DataError("non-finite edge descriptor (degenerate attributes?)")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .scene import pair_index_arrays
+from .scene import number_array, pair_index_arrays, relation_terms
 
 OBJECT_KS = (1, 5, 10)
 PREDICATE_KS = (1, 3, 5)
@@ -167,8 +167,7 @@ def triplet_records(scene: ScenePrediction, pool: str = "pair") -> tuple[np.ndar
     n_obj = scene.object_probs.shape[1]
     n_rel = scene.predicate_probs.shape[1]
     pair_i, pair_j = pair_index_arrays(scene.k)
-    ev_pair, ev_pred = np.nonzero(scene.gt_predicate_rows)
-    subj, obj = scene.gt_objects[pair_i[ev_pair]], scene.gt_objects[pair_j[ev_pair]]
+    ev_pair, subj, ev_pred, obj = relation_terms(scene.gt_predicate_rows, scene.gt_objects)
     pos = (subj * n_rel + ev_pred) * n_obj + obj
     # the pair pool needs only the cubes of the relations' own pairs
     rows = ev_pair if pool == "pair" else np.arange(len(pair_i))
@@ -228,7 +227,7 @@ def _recall_ranks(scene: ScenePrediction, variants, predcls_ranking: str,
     """
     k, n_rel = scene.k, scene.predicate_probs.shape[1]
     pair_i, pair_j = pair_index_arrays(k)
-    ev_pair, ev_pred = np.nonzero(scene.gt_predicate_rows)
+    ev_pair, _, ev_pred, _ = relation_terms(scene.gt_predicate_rows, scene.gt_objects)
     top1 = scene.predicate_probs.argmax(axis=1)  # first max = lowest index on ties
     labels = scene.object_probs.argmax(axis=1)
     label_ok = labels == scene.gt_objects
@@ -462,18 +461,17 @@ def dump_to_jsonl(dump: PredictionDump, tool_version: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dump_array(rec: dict, name: str, width: int | None = None, integer: bool = False) -> np.ndarray:
+def _dump_array(rec: dict, name: str, ndim: int, width: int | None = None,
+                integer: bool = False) -> np.ndarray:
     """Field `name` of a dump record as an array; an empty list reads as (0, width)."""
     if name not in rec:
         raise DataError(f"missing field {name!r}")
     try:
-        arr = np.asarray(rec[name], dtype=None if integer else np.float64)
-    except (TypeError, ValueError) as e:
+        arr = number_array(rec[name], ndim, f"field {name!r}", integer)
+    except (ValueError, OverflowError) as e:
         raise DataError(f"field {name!r} is not a numeric array: {e}") from e
     if arr.size == 0:
-        return np.zeros((0, width) if width else 0, dtype=np.intp if integer else np.float64)
-    if arr.ndim == 0 or (integer and arr.dtype.kind not in "iu"):
-        raise DataError(f"field {name!r} must be an array of {'integers' if integer else 'numbers'}")
+        return np.zeros((0, width) if width else 0, dtype=arr.dtype)
     return arr
 
 
@@ -498,10 +496,10 @@ def dump_from_jsonl(text: str) -> PredictionDump:
                 raise DataError("a scene record needs a string field 'scene_id'")
             scene = ScenePrediction(
                 scene_id=rec["scene_id"],
-                object_probs=_dump_array(rec, "object_probs", header["n_obj"]),
-                predicate_probs=_dump_array(rec, "predicate_probs", header["n_rel"]),
-                gt_objects=_dump_array(rec, "gt_objects", integer=True),
-                gt_predicate_rows=_dump_array(rec, "gt_predicates", header["n_rel"], integer=True),
+                object_probs=_dump_array(rec, "object_probs", 2, header["n_obj"]),
+                predicate_probs=_dump_array(rec, "predicate_probs", 2, header["n_rel"]),
+                gt_objects=_dump_array(rec, "gt_objects", 1, integer=True),
+                gt_predicate_rows=_dump_array(rec, "gt_predicates", 2, header["n_rel"], integer=True),
             )
             scene.validate(header["n_obj"], header["n_rel"])
         except (DataError, json.JSONDecodeError) as e:

@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .encoders import glorot
 from .errors import ConfigError, DataError
 from .scene import (InstanceAttributes, SceneGraphSample, compute_attributes,
-                    ordered_pairs, pair_index_arrays, predicate_gt_rows)
+                    pair_index_arrays, predicate_gt_rows)
 
 
 @dataclass
@@ -252,18 +252,17 @@ class PreparedScene:
 def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
     k = sample.k
     attrs = [compute_attributes(inst) for inst in sample.instances]
-    pairs = ordered_pairs(k)
     subj, obj = pair_index_arrays(k)
-    avg = np.zeros((k, len(pairs)))
+    avg = np.zeros((k, len(subj)))
     if k > 1:
-        avg[subj, np.arange(len(pairs))] = 1.0 / (k - 1)
+        avg[subj, np.arange(len(subj))] = 1.0 / (k - 1)
     return PreparedScene(
         point_sets=[inst.points for inst in sample.instances],
         attrs=attrs,
         subj=subj,
         obj=obj,
         avg_matrix=avg,
-        descriptors=encoders.descriptor_matrix(attrs, pairs),
+        descriptors=encoders.descriptor_matrix(attrs, subj, obj),
         visual=sample.visual_features,
         gt_objects=np.array([inst.gt_class for inst in sample.instances], dtype=np.intp),
         gt_pred_rows=predicate_gt_rows(sample),

@@ -1,4 +1,6 @@
-"""Scene data model: instances, ground-truth graphs, vocabulary, file I/O.
+"""Scene data model: instances, ground-truth graphs, vocabulary, file I/O,
+and the canonical pair layout (`pair_index_arrays`, `relation_terms`) that
+every other module reads.
 
 Scene files are UTF-8 JSON-lines, one scene per line:
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -103,17 +106,23 @@ def compute_attributes(instance: SceneInstance) -> InstanceAttributes:
                               volume=volume, max_side=float(extent.max()))
 
 
-def ordered_pairs(k: int) -> list[tuple[int, int]]:
-    """Canonical ordering of the K(K-1) directed non-diagonal pairs."""
-    return [(i, j) for i in range(k) for j in range(k) if j != i]
-
-
 def pair_index_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = ordered_pairs(k)
-    if not pairs:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    subj, obj = zip(*pairs)
-    return np.asarray(subj, dtype=np.intp), np.asarray(obj, dtype=np.intp)
+    """(subject, object) indices of the K(K-1) ordered pairs i != j, by subject,
+    then by object: the canonical pair order every module reads."""
+    return np.nonzero(~np.eye(k, dtype=bool))
+
+
+def ordered_pairs(k: int) -> list[tuple[int, int]]:
+    """`pair_index_arrays(k)` as a list of (i, j) tuples."""
+    return list(zip(*(a.tolist() for a in pair_index_arrays(k))))
+
+
+def relation_terms(gt_rows: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(pair, subject class, predicate, object class) of every ground-truth term
+    of an (E, N_rel) row matrix in canonical pair order, pair then predicate."""
+    pair, pred = np.nonzero(gt_rows)
+    subj, obj = pair_index_arrays(len(classes))
+    return pair, classes[subj[pair]], pred, classes[obj[pair]]
 
 
 def predicate_gt_rows(sample: SceneGraphSample) -> np.ndarray:
@@ -133,11 +142,8 @@ def split_predicates(vocab: Vocabulary) -> dict[str, set[int]]:
     freq = vocab.predicate_train_frequency
     if len(freq) != n:
         raise DataError("predicate frequencies not populated")
-    if n == 26:
-        h, t = 8, 12
-    else:
-        h = int(round(8 / 26 * n))
-        t = int(round(12 / 26 * n))
+    h = int(round(8 / 26 * n))
+    t = int(round(12 / 26 * n))
     order = sorted(range(n), key=lambda p: (-freq[p], p))
     return {
         "head": set(order[:h]),
@@ -165,6 +171,25 @@ def _typed(value, kind: type, what: str, where: str):
     return value
 
 
+def number_array(value, ndim: int, what: str, integer: bool = False) -> np.ndarray:
+    """JSON lists nested `ndim` deep as a float64 (or, with `integer`, intp) array.
+
+    numpy would read a JSON boolean as 0/1 and a digit string as its number,
+    so one scan per nesting level admits only lists, then only numbers
+    (only integers with `integer`); anything else is a DataError naming `what`.
+    """
+    level = [value]
+    for _ in range(ndim):
+        if not set(map(type, level)) <= {list}:
+            raise DataError(f"{what} must be lists nested {ndim} deep")
+        level = list(chain.from_iterable(level))
+    wrong = set(map(type, level)) - ({int} if integer else {int, float})
+    if wrong:
+        raise DataError(f"{what} must hold only {'integers' if integer else 'numbers'}, "
+                        f"got {', '.join(sorted(t.__name__ for t in wrong))}")
+    return np.asarray(value, dtype=np.intp if integer else np.float64)
+
+
 def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> SceneGraphSample:
     _check_fields(record, SCENE_FIELDS, where, strict)
     for key in ("scene_id", "split", "instances", "relations"):
@@ -189,7 +214,7 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
         cls = _typed(inst["class"], int, f"instance {iid} class", where)
         if not 0 <= cls < vocab.n_obj:
             raise DataError(f"{where}: object class {cls} out of range [0, {vocab.n_obj})")
-        pts = np.asarray(inst["points"], dtype=np.float64)
+        pts = number_array(inst["points"], 2, f"{where}: instance {iid} points")
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise DataError(f"{where}: instance {iid} points must be a non-empty (n, 3) list")
         if not np.all(np.isfinite(pts)):
@@ -218,7 +243,7 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
 
     visual = None
     if record.get("visual_features") is not None:
-        visual = np.asarray(record["visual_features"], dtype=np.float64)
+        visual = number_array(record["visual_features"], 2, f"{where}: visual_features")
         if visual.ndim != 2 or visual.shape[0] != k:
             raise DataError(f"{where}: visual_features must have one row per instance")
         if not np.all(np.isfinite(visual)):
@@ -249,7 +274,7 @@ def load_scene_file(path, vocab: Vocabulary, strict: bool = True,
                 raise DataError(f"{where}: malformed JSON ({e})") from e
             try:
                 sample = _parse_scene(record, vocab, where, strict)
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise DataError(f"{where}: malformed scene record ({type(e).__name__}: {e})") from e
             if split is not None and sample.split != split:
                 raise DataError(f"{where} (scene {sample.scene_id}): split {sample.split!r} "

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .scene import (SceneGraphSample, SceneInstance, Vocabulary,
-                    compute_attributes, ordered_pairs, pair_index_arrays, split_predicates)
+from .scene import (SceneGraphSample, SceneInstance, Vocabulary, compute_attributes,
+                    pair_index_arrays, predicate_gt_rows, relation_terms, split_predicates)
 
 log = logging.getLogger("sg3d")
 
@@ -438,15 +438,16 @@ def _thin_to_quota(cfg: WorldConfig, scenes: list[_RawScene], split_id: int,
     n_rel = cfg.n_rel
     weights = zipf_weights(n_rel, cfg.zipf_exponent)
 
-    # candidate lists per predicate, in deterministic scene/pair order
-    candidates: list[list[tuple[int, int, int]]] = [[] for _ in range(n_rel)]
-    for s_idx, scene in enumerate(scenes):
-        k = len(scene.instances)
-        for i, j in ordered_pairs(k):
-            for p in np.nonzero(scene.satisfied[i, j])[0]:
-                candidates[p].append((s_idx, i, j))
+    # every satisfied (pair, predicate) term, in scene, pair, predicate order
+    terms = []
+    for scene in scenes:
+        subj, obj = pair_index_arrays(len(scene.instances))
+        pair, pred = np.nonzero(scene.satisfied[subj, obj])
+        terms.append((subj[pair], obj[pair], pred))
+    pred = np.concatenate([np.zeros(0, dtype=np.intp)] + [p for _, _, p in terms])
+    starts = np.cumsum([0] + [len(p) for _, _, p in terms])
 
-    counts = np.array([len(c) for c in candidates], dtype=np.float64)
+    counts = np.bincount(pred, minlength=n_rel).astype(np.float64)
     if np.any(counts == 0):
         missing = [p for p in range(n_rel) if counts[p] == 0]
         if not allow_missing:
@@ -457,37 +458,32 @@ def _thin_to_quota(cfg: WorldConfig, scenes: list[_RawScene], split_id: int,
     quotas = np.floor(weights * total).astype(int)
     quotas = np.where(present, np.maximum(quotas, 1), 0)
 
-    # one protected relation per scene so every scene keeps >= 1 gt relation;
-    # spread across predicate classes (least-protected satisfied class first)
-    # so protection does not distort the frequency profile
-    protected: list[set[tuple[int, int, int]]] = [set() for _ in range(n_rel)]
+    # one protected relation per scene so every scene keeps >= 1 gt relation:
+    # its first pair of the least-protected satisfied class (lowest index on
+    # ties), so protection does not distort the frequency profile
+    keep = np.zeros(len(pred), dtype=bool)
     protected_count = [0] * n_rel
-    for s_idx, scene in enumerate(scenes):
-        k = len(scene.instances)
-        satisfied_preds = [p for p in range(n_rel) if scene.satisfied[:, :, p].any()]
-        if not satisfied_preds:
+    for scene, start, stop in zip(scenes, starts[:-1], starts[1:]):
+        if start == stop:
             raise DataError(f"scene {scene.scene_id} has no satisfiable relation")
-        p = min(satisfied_preds, key=lambda q: (protected_count[q], q))
-        for i, j in ordered_pairs(k):
-            if scene.satisfied[i, j, p]:
-                protected[p].add((s_idx, i, j))
-                protected_count[p] += 1
-                break
+        p = min(np.unique(pred[start:stop]).tolist(), key=lambda q: (protected_count[q], q))
+        keep[start + np.flatnonzero(pred[start:stop] == p)[0]] = True
+        protected_count[p] += 1
 
-    gts = [np.zeros(scene.satisfied.shape, dtype=np.uint8) for scene in scenes]
     rng = _rng(cfg.seed, 400 + split_id)
     for p in range(n_rel):
-        keep = set(protected[p])
-        pool = [c for c in candidates[p] if c not in keep]
-        extra = quotas[p] - len(keep)
-        if extra > 0 and pool:
-            take = min(extra, len(pool))
-            chosen = rng.choice(len(pool), size=take, replace=False)
-            keep.update(pool[c] for c in chosen)
-        for s_idx, i, j in keep:
-            gts[s_idx][i, j, p] = 1
-    realized = np.array([sum(int(g[:, :, p].sum()) for g in gts) for p in range(n_rel)])
-    return gts, realized
+        pool = np.flatnonzero((pred == p) & ~keep)
+        extra = quotas[p] - protected_count[p]
+        if extra > 0 and len(pool):
+            keep[pool[rng.choice(len(pool), size=min(extra, len(pool)), replace=False)]] = True
+
+    gts = []
+    for scene, (subj, obj, scene_pred), start, stop in zip(scenes, terms, starts[:-1], starts[1:]):
+        gt = np.zeros(scene.satisfied.shape, dtype=np.uint8)
+        kept = keep[start:stop]
+        gt[subj[kept], obj[kept], scene_pred[kept]] = 1
+        gts.append(gt)
+    return gts, np.bincount(pred[keep], minlength=n_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +521,6 @@ def _pair_features(scene: _RawScene) -> tuple[np.ndarray, np.ndarray]:
     """Geometry-only and latent feature rows for every ordered pair."""
     from .encoders import descriptor_matrix
 
-    pairs = ordered_pairs(len(scene.instances))
     subj, obj = pair_index_arrays(len(scene.instances))
     attrs = scene.attrs
     mean = np.stack([a.mean for a in attrs])
@@ -534,7 +529,7 @@ def _pair_features(scene: _RawScene) -> tuple[np.ndarray, np.ndarray]:
     diff = (mean[subj] - mean[obj])[:, None, :]
     # one dot per pair, as np.linalg.norm takes it, so the audit keeps its bits
     dist = np.sqrt(diff @ np.swapaxes(diff, 1, 2))[:, 0]
-    geo = np.concatenate([descriptor_matrix(attrs, pairs), dist, size[subj], size[obj],
+    geo = np.concatenate([descriptor_matrix(attrs, subj, obj), dist, size[subj], size[obj],
                           std[subj], std[obj]], axis=1)
     lat = np.concatenate([scene.visual[subj], scene.visual[obj]], axis=1)
     return geo, lat
@@ -553,8 +548,7 @@ def separability_audit(cfg: WorldConfig, scenes: list[_RawScene], gts: dict[str,
         geo, lat = _pair_features(scene)
         rows_geo.append(geo)
         rows_lat.append(lat)
-        k = len(scene.instances)
-        labels.append(np.stack([gt[i, j] for i, j in ordered_pairs(k)]))
+        labels.append(gt[pair_index_arrays(len(scene.instances))])
     geo = np.concatenate(rows_geo)
     lat = np.concatenate(rows_lat)
     y_all = np.concatenate(labels)
@@ -630,10 +624,9 @@ def generate_dataset(cfg: WorldConfig) -> tuple[list[SceneGraphSample], Vocabula
                                   visual_features=scene.visual)
         samples.append(sample)
         if scene.split == "train":
-            classes = [inst.gt_class for inst in scene.instances]
-            for i, j in ordered_pairs(len(classes)):
-                for p in np.nonzero(gt[i, j])[0]:
-                    train_triplets.add((classes[i], int(p), classes[j]))
+            classes = np.array([inst.gt_class for inst in scene.instances])
+            _, subj, pred, obj = relation_terms(predicate_gt_rows(sample), classes)
+            train_triplets.update(zip(subj.tolist(), pred.tolist(), obj.tolist()))
 
     vocab = Vocabulary(object_names=names, predicate_names=predicate_names,
                        predicate_train_frequency=[int(c) for c in freqs["train"]])

@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
 from .reasoning import ForwardResult, ModelConfig, ModelState, PreparedScene, forward_scene, prepare_scene
-from .scene import SceneGraphSample, Vocabulary
+from .scene import SceneGraphSample, Vocabulary, relation_terms
 from .synthetic import EmbeddingProvider
 
 
@@ -124,23 +124,17 @@ def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
 # classifier initialization
 
 
-def init_classifier_from_embeddings(provider: EmbeddingProvider, d: int,
-                                    projection: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def init_classifier_from_embeddings(provider: EmbeddingProvider, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Object-classifier weights whose class-c column is embedding c, bias 0."""
     emb = provider.object_embeddings
     if emb.shape[1] != d:
-        if projection is None:
-            raise ConfigError(
-                f"embedding width {emb.shape[1]} != classifier width {d} and no projection configured")
-        emb = emb @ projection
-        emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+        raise ConfigError(f"embedding width {emb.shape[1]} != classifier width {d}")
     return emb.T.copy(), np.zeros(emb.shape[0])
 
 
-def apply_embedding_init(model: ModelState, provider: EmbeddingProvider,
-                         projection: np.ndarray | None = None) -> None:
+def apply_embedding_init(model: ModelState, provider: EmbeddingProvider) -> None:
     """Initialize the object classifiers of both streams from the embeddings."""
-    w, b = init_classifier_from_embeddings(provider, model.cfg.d, projection)
+    w, b = init_classifier_from_embeddings(provider, model.cfg.d)
     for head in ("head3d", "head_oracle"):
         if head == "head_oracle" and not model.cfg.joint:
             continue
@@ -206,20 +200,11 @@ class TrainScene:
 
 def build_train_scene(sample: SceneGraphSample, provider: EmbeddingProvider | None) -> TrainScene:
     prepared = prepare_scene(sample)
-    pair_idx: list[int] = []
-    triplets: list[tuple[int, int, int]] = []
-    if provider is not None:
-        classes = prepared.gt_objects
-        from .scene import ordered_pairs
-
-        for e, (i, j) in enumerate(ordered_pairs(sample.k)):
-            for p in np.nonzero(prepared.gt_pred_rows[e])[0]:
-                pair_idx.append(e)
-                triplets.append((int(classes[i]), int(p), int(classes[j])))
-    text = provider.text_embedding_rows(triplets) if provider is not None else np.zeros((0, 0))
-    return TrainScene(prepared=prepared,
-                      tri_pair_indices=np.asarray(pair_idx, dtype=np.intp),
-                      tri_text_rows=text)
+    if provider is None:
+        return TrainScene(prepared, np.zeros(0, dtype=np.intp), np.zeros((0, 0)))
+    pair, subj, pred, obj = relation_terms(prepared.gt_pred_rows, prepared.gt_objects)
+    text = provider.text_embedding_rows(np.stack([subj, pred, obj], axis=1).tolist())
+    return TrainScene(prepared=prepared, tri_pair_indices=pair, tri_text_rows=text)
 
 
 def scene_loss(model: ModelState, ts: TrainScene, weights: LossWeights,

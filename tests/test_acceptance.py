@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The training-based
 criteria (8 and 9) share one 3-seed experiment fixture and together
-dominate the runtime (roughly 10 to 15 minutes).
+dominate the runtime (the whole suite took 402 to 473 s on a 2-core VM).
 """
 
 import json

@@ -145,9 +145,11 @@ class TestTrain:
 
 _DELETE = "<delete>"
 _DANGLING = "<dangling>"
+_FIRST = "<first>"
 
 # (record part, field, replacement): _DELETE removes the field, _DANGLING
-# points the relation at an instance id the scene does not have
+# points the relation at an instance id the scene does not have, and
+# (_FIRST, v) sets the first number of the field's first row to v
 SCENE_CORRUPTIONS = (
     [("scene", f, _DELETE) for f in ("scene_id", "split", "instances", "relations")]
     + [("instance", f, _DELETE) for f in ("id", "class", "points")]
@@ -159,7 +161,11 @@ SCENE_CORRUPTIONS = (
     + [("scene", "visual_features", v) for v in (5, "x", {"a": 1}, [["a"]], [[1.0]])]
     + [("instance", f, v) for f in ("id", "class") for v in ("abc", "7", 1.5, True, None, [1])]
     + [("instance", "points", v)
-       for v in (5, "x", {"a": 1}, None, [], [[0.0, 0.0]], [["a", 0, 0]], [[0, 0, 0], [1, 2]])]
+       for v in (5, "x", {"a": 1}, None, [], [[0.0, 0.0]], [["a", 0, 0]], [[0, 0, 0], [1, 2]],
+                 [[True, False, 1]], [["1", "2", "3.5"]], [[0, 0, 0], [1, True, 2]],
+                 [[10 ** 400, 0, 0]])]
+    + [(part, f, (_FIRST, v)) for part, f in (("instance", "points"), ("scene", "visual_features"))
+       for v in (True, False, "1", "2.5")]
     + [("relation", f, v) for f in ("subject_id", "object_id") for v in ("abc", 1.5, None, [1], _DANGLING)]
     + [("relation", "predicates", v) for v in (5, "x", {"a": 1}, None, ["7"], [1.5], [None], [[1]])]
 )
@@ -184,6 +190,11 @@ def corrupted_dataset(workspace, tmp_path):
 @example(corruption=("scene", "instances", 5), line=0, pick=0, strict=True)
 @example(corruption=("instance", "points", "x"), line=0, pick=0, strict=True)
 @example(corruption=("scene", "visual_features", [["a"]]), line=0, pick=0, strict=True)
+@example(corruption=("instance", "points", (_FIRST, True)), line=0, pick=0, strict=True)
+@example(corruption=("instance", "points", (_FIRST, "1")), line=0, pick=0, strict=True)
+@example(corruption=("scene", "visual_features", (_FIRST, True)), line=0, pick=0, strict=True)
+@example(corruption=("scene", "visual_features", (_FIRST, "1")), line=0, pick=0, strict=True)
+@example(corruption=("instance", "points", [[10 ** 400, 0, 0]]), line=0, pick=0, strict=True)
 def test_corrupted_scene_record_exit_code(corrupted_dataset, caplog, corruption, line, pick, strict):
     ds, lines = corrupted_dataset
     part, field, value = corruption
@@ -198,6 +209,8 @@ def test_corrupted_scene_record_exit_code(corrupted_dataset, caplog, corruption,
         del target[field]
     elif value == _DANGLING:
         target[field] = max(inst["id"] for inst in record["instances"]) + 1 + pick
+    elif isinstance(value, tuple):
+        target[field][0][0] = value[1]
     else:
         target[field] = value
     (ds / "train.jsonl").write_text("\n".join(lines[:n] + [json.dumps(record)] + lines[n + 1:]) + "\n",
@@ -423,6 +436,36 @@ def _break_gt_row(rec):
     rec["gt_predicates"][0][0] = 2
 
 
+def _break_bool_object_probs(rec):
+    # a one-hot row of booleans still sums to 1 if read as numbers
+    rec["object_probs"][0] = [True] + [False] * (len(rec["object_probs"][0]) - 1)
+
+
+def _break_bool_predicate_prob(rec):
+    rec["predicate_probs"][0][0] = False
+
+
+def _break_string_predicate_prob(rec):
+    rec["predicate_probs"][0][0] = "0.5"
+
+
+def _break_bool_label(rec):
+    rec["gt_objects"][0] = bool(rec["gt_objects"][0])
+
+
+def _break_string_label(rec):
+    rec["gt_objects"][0] = str(rec["gt_objects"][0])
+
+
+def _break_bool_gt_row(rec):
+    rec["gt_predicates"][0][0] = bool(rec["gt_predicates"][0][0])
+
+
+def _break_huge_integer_prob(rec):
+    # too large for a float64
+    rec["predicate_probs"][0][0] = 10 ** 400
+
+
 def _break_scene_id(rec):
     del rec["scene_id"]
 
@@ -437,6 +480,10 @@ BAD_DUMP_LINES = [
     ("negative-label", _break_negative_label), ("label-out-of-range", _break_label_range),
     ("label-count", _break_label_count), ("object-width", _break_object_width),
     ("predicate-width", _break_predicate_width), ("gt-row-not-binary", _break_gt_row),
+    ("bool-object-probs", _break_bool_object_probs), ("bool-predicate-prob", _break_bool_predicate_prob),
+    ("string-predicate-prob", _break_string_predicate_prob), ("bool-label", _break_bool_label),
+    ("string-label", _break_string_label), ("bool-gt-row", _break_bool_gt_row),
+    ("huge-integer-prob", _break_huge_integer_prob),
     ("missing-scene-id", _break_scene_id), ("missing-field", _break_field),
     ("not-json", "{not json"), ("not-an-object", "[1, 2]"),
 ]

@@ -9,7 +9,8 @@ from sg3d.errors import DataError, DimensionError
 from sg3d.encoders import (edge_descriptor, descriptor_matrix, encode_edges, encode_nodes_3d,
                            encode_nodes_oracle, init_edge_mlp, init_point_mlp,
                            init_visual_proj)
-from sg3d.scene import InstanceAttributes, SceneInstance, compute_attributes, ordered_pairs
+from sg3d.scene import (InstanceAttributes, SceneInstance, compute_attributes, ordered_pairs,
+                        pair_index_arrays)
 
 from gradcheck import analytic_grads, check_params
 
@@ -158,7 +159,7 @@ class TestEdgeEncoder:
         rng = np.random.default_rng(6)
         params = init_edge_mlp(rng, 8, 4)
         a = rand_attrs(rng)
-        out = encode_edges(descriptor_matrix([a, a], [(0, 1)]), params).data
+        out = encode_edges(descriptor_matrix([a, a], [0], [1]), params).data
         zero_out = encode_edges(np.zeros((1, 11)), params).data
         assert np.array_equal(out, zero_out)
 
@@ -177,7 +178,7 @@ class TestEdgeEncoder:
         rng = np.random.default_rng(8)
         attrs = [rand_attrs(rng) for _ in range(3)]
         pairs = ordered_pairs(3)
-        mat = descriptor_matrix(attrs, pairs)
+        mat = descriptor_matrix(attrs, *pair_index_arrays(3))
         for row, (i, j) in zip(mat, pairs):
             assert np.array_equal(row, edge_descriptor(attrs[i], attrs[j]))
 
@@ -231,7 +232,7 @@ def instance_attributes(draw):
 @given(instance_attributes())
 def test_descriptor_matrix_antisymmetric_and_rowwise(attrs):
     pairs = ordered_pairs(len(attrs))
-    mat = descriptor_matrix(attrs, pairs)
+    mat = descriptor_matrix(attrs, *pair_index_arrays(len(attrs)))
     for e, (i, j) in enumerate(pairs):
         assert np.array_equal(mat[e], edge_descriptor(attrs[i], attrs[j]))
         assert np.array_equal(mat[e], -mat[pairs.index((j, i))])

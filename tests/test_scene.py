@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sg3d.errors import DataError
 from sg3d.scene import (EPS_BOX, SceneGraphSample, SceneInstance, Vocabulary,
-                        compute_attributes, load_scene_file, ordered_pairs,
-                        predicate_gt_rows, save_scene_file, split_predicates)
+                        compute_attributes, load_scene_file, ordered_pairs, pair_index_arrays,
+                        predicate_gt_rows, relation_terms, save_scene_file, split_predicates)
 
 
 def make_vocab(n_obj=4, n_rel=3, freq=None):
@@ -214,6 +214,23 @@ class TestLoadSceneFile:
 def test_ordered_pairs_layout():
     assert ordered_pairs(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     assert ordered_pairs(1) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.data())
+def test_pair_layout_and_relation_terms_match_loops(k, n_rel, data):
+    reference = [(i, j) for i in range(k) for j in range(k) if j != i]
+    subj, obj = pair_index_arrays(k)
+    assert subj.dtype == obj.dtype == np.intp
+    assert list(zip(subj.tolist(), obj.tolist())) == reference
+    assert ordered_pairs(k) == reference
+    e = len(reference)
+    rows = np.array(data.draw(st.lists(st.integers(0, 1), min_size=e * n_rel, max_size=e * n_rel)),
+                    dtype=np.uint8).reshape(e, n_rel)
+    classes = np.array(data.draw(st.lists(st.integers(0, 20), min_size=k, max_size=k)), dtype=np.intp)
+    expected = [(e_, int(classes[i]), int(p), int(classes[j]))
+                for e_, (i, j) in enumerate(reference) for p in np.nonzero(rows[e_])[0]]
+    assert list(zip(*(a.tolist() for a in relation_terms(rows, classes)))) == expected
 
 
 def test_predicate_gt_rows_alignment():

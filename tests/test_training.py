@@ -194,13 +194,6 @@ class TestClassifierInit:
         with pytest.raises(ConfigError):
             init_classifier_from_embeddings(provider, 12)
 
-    def test_width_mismatch_with_projection(self):
-        provider = EmbeddingProvider(7, n_obj=4, n_rel=3, d_emb=8)
-        proj = np.random.default_rng(7).standard_normal((8, 12))
-        w, b = init_classifier_from_embeddings(provider, 12, projection=proj)
-        assert w.shape == (12, 4)
-        assert np.allclose(np.linalg.norm(w, axis=0), 1.0)
-
     def test_applies_to_both_streams(self):
         provider = EmbeddingProvider(8, n_obj=4, n_rel=3, d_emb=8)
         model = small_model(joint=True)
