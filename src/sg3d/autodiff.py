@@ -3,13 +3,16 @@
 The engine is deliberately small: 2-D matmul, elementwise arithmetic with
 numpy-style broadcasting, the activations and reductions the model needs,
 softmax / log-softmax with exact Jacobian-vector products, concatenation,
-row gathering and layer norm. Two fused ops carry the model's hot paths:
+row gathering and layer norm. Fused ops carry the model's hot paths:
 
-- `attention(q, k, v, heads, mask)`: every head of a multi-head scaled
-  dot-product attention in one op, over (..., H, N, dh) stacks, with a
-  hand-written softmax backward;
+- `attention(q, k, v, heads, mask, layout=...)`: every head of a
+  multi-head scaled dot-product attention in one op, over (..., H, N, dh)
+  stacks, with a hand-written softmax backward; given a `Segments`
+  layout, it attends within each scene of a packed batch;
 - `segment_max(x, starts)`: a max-pool over each run of rows, so a
-  shared point MLP can run once over the stacked points of all instances.
+  shared point MLP can run once over the stacked points of all instances;
+- `segment_mean(x, rows)`: one mean per scene of a packed batch, so a
+  batch's objective is the sum of its scenes' losses.
 
 Ops record a backward closure on the active tape; replaying the tape in
 reverse accumulates exact adjoints.
@@ -22,6 +25,7 @@ NumericError at the op boundary.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -143,6 +147,77 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# packed batch layout
+
+# added to the logits of padded keys: exp underflows to exactly 0 against
+# any real logit, and the value stays finite, so every op output is checked
+PAD_BIAS = -1e300
+
+
+class Segments:
+    """Row layout of a packed batch: segment b owns the next `lengths[b]` rows.
+
+    Segments are scenes; their node (or edge) rows are concatenated in
+    order. The index arrays scatter the rows into zero-padded
+    (count, longest) blocks and gather them back.
+    """
+
+    def __init__(self, lengths):
+        sizes = [int(n) for n in lengths]
+        self.lengths = np.array(sizes, dtype=np.intp)
+        self.count = len(sizes)
+        self.total = sum(sizes)
+        self.longest = max(sizes, default=0)
+
+    # the index arrays are built on first use: a one-scene layout, as
+    # prediction makes for every scene, needs few of them
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """First row of each segment."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @cached_property
+    def seg(self) -> np.ndarray:
+        """Segment of each row."""
+        return np.repeat(np.arange(self.count), self.lengths)
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """Place of each row within its segment."""
+        return np.arange(self.total) - self.starts[self.seg]
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(segment, i, j) of every ordered row pair inside a segment, diagonal
+        included: segment by segment, then row-major in (i, j)."""
+        squares = self.lengths * self.lengths
+        seg = np.repeat(np.arange(self.count), squares)
+        local = np.arange(int(squares.sum())) - (np.cumsum(squares) - squares)[seg]
+        i, j = np.divmod(local, self.lengths[seg])
+        return seg, i, j
+
+    @cached_property
+    def key_bias(self) -> np.ndarray | None:
+        """(count, 1, 1, longest) bias of 0 on real rows and PAD_BIAS on padding;
+        None when every segment is full."""
+        real = np.arange(self.longest) < self.lengths[:, None]
+        if real.all():
+            return None
+        return np.where(real, 0.0, PAD_BIAS)[:, None, None, :]
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """(total, D) rows -> (count, longest, D), zeros after each segment's rows."""
+        out = np.zeros((self.count, self.longest, x.shape[-1]))
+        out[self.seg, self.pos] = x
+        return out
+
+    def unpad(self, x: np.ndarray) -> np.ndarray:
+        """(count, longest, D) -> the (total, D) rows `pad` placed."""
+        return x[self.seg, self.pos]
+
+
+# ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
@@ -209,8 +284,11 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        # a constant operand (points, descriptors, the averaging matrix) needs no product
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _from_op(a.data @ b.data, (a, b), backward)
 
@@ -376,6 +454,34 @@ def segment_max(x, starts) -> Tensor:
     return _from_op(out, (x,), backward)
 
 
+def segment_mean(x, rows: Segments | None = None) -> Tensor:
+    """Mean over every entry of each segment's rows, as a (count,) vector.
+
+    Row r of segment b weighs 1 / (lengths[b] * row width), so summing the
+    output adds up the segments' means; an empty segment gives 0. Without
+    `rows`, all rows form one segment.
+    """
+    x = as_tensor(x)
+    if x.data.ndim == 0:
+        raise DimensionError("segment_mean needs rows, got a scalar")
+    n = x.data.shape[0]
+    rows = Segments([n]) if rows is None else rows
+    if n != rows.total:
+        raise DimensionError(f"segment_mean of {n} rows over a {rows.total}-row layout")
+    width = int(np.prod(x.data.shape[1:]))
+    scale = np.zeros(rows.count)
+    full = rows.lengths > 0
+    scale[full] = 1.0 / (rows.lengths[full] * width)
+    row_sums = x.data.reshape(n, width).sum(axis=1)
+    out = np.bincount(rows.seg, weights=row_sums, minlength=rows.count) * scale
+
+    def backward(g):
+        per_row = (g * scale)[rows.seg].reshape((n,) + (1,) * (x.data.ndim - 1))
+        _accumulate(x, np.broadcast_to(per_row, x.data.shape).copy())
+
+    return _from_op(out, (x,), backward)
+
+
 # ---------------------------------------------------------------------------
 # softmax family
 
@@ -409,7 +515,8 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = None) -> Tensor:
+def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = None,
+              layout: Segments | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
 
     q is (..., N, D); k and v are (..., M, D). The D columns split into
@@ -418,6 +525,15 @@ def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = Non
     broadcasts against the (..., H, N, M) logits and is added before the
     softmax. Returns the heads' outputs side by side, (..., N, D). With
     `collect_weights`, one constant (N, M) Tensor per head is appended.
+
+    With a `layout`, q, k and v are the 2-D rows of a packed batch that
+    share that layout, and each row attends only to the rows of its own
+    segment. The op pads the segments to the longest one and adds
+    PAD_BIAS to the logits of padded keys. The mask then holds one value
+    per ordered row pair of each segment, in `layout.pairs` order (any
+    shape with that many entries; a one-segment layout takes an (N, N)
+    mask as is), and goes into the same padded bias. `collect_weights`
+    gets one (n, n) Tensor per segment and head, segment-major.
 
     The backward is the softmax JVP of `softmax`, applied to every head at
     once (the FlashAttention backward without the tiling).
@@ -430,8 +546,27 @@ def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = Non
                              f"v {v.data.shape}")
     if heads < 1 or d % heads != 0:
         raise DimensionError(f"heads ({heads}) must divide feature width ({d})")
+    if layout is not None and not (q.data.ndim == 2 and n == m == layout.total):
+        raise DimensionError(f"a packed layout of {layout.total} rows needs 2-D q, k and v of "
+                             f"that many rows, got {q.data.shape} and {k.data.shape}")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
+    mask = None if mask is None else as_tensor(mask)
+    # a one-segment layout needs no padding: it runs as the plain 2-D op
+    packed = layout is not None and layout.count > 1
+    qd, kd, vd = (layout.pad(x.data) for x in (q, k, v)) if packed else (q.data, k.data, v.data)
+    bias = None if mask is None else mask.data
+    if packed:
+        bias = layout.key_bias
+        if mask is not None:
+            full = np.zeros((layout.count, 1, layout.longest, layout.longest))
+            if bias is not None:
+                full += bias
+            seg, i, j = layout.pairs
+            full[seg, 0, i, j] = mask.data.reshape(-1)
+            bias = full
+    elif layout is not None and mask is not None:
+        bias = bias.reshape(n, n)
 
     def split(x):
         # (..., N, D) -> (..., H, N, dh) view
@@ -441,34 +576,45 @@ def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = Non
         # (..., H, N, dh) -> (..., N, D)
         return np.swapaxes(x, -2, -3).reshape(*x.shape[:-3], x.shape[-2], d)
 
+    def rows(x):
+        # merged heads -> the op's row layout
+        return layout.unpad(merge(x)) if packed else merge(x)
+
     # contiguous head blocks: numpy's gemv path (a single query or key row)
     # sums in a stride-dependent order, and copies keep it that of a 2-D head
-    qh, vh = np.ascontiguousarray(split(q.data)), np.ascontiguousarray(split(v.data))
-    kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))  # (..., H, dh, M)
+    qh, vh = np.ascontiguousarray(split(qd)), np.ascontiguousarray(split(vd))
+    kt = np.ascontiguousarray(np.swapaxes(split(kd), -1, -2))  # (..., H, dh, M)
     logits = (qh @ kt) * scale
-    if mask is not None:
-        mask = as_tensor(mask)
-        logits = logits + mask.data
+    if bias is not None:
+        logits = logits + bias
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     w = e / e.sum(axis=-1, keepdims=True)
-    if collect_weights is not None:
+    if collect_weights is not None and packed:
+        collect_weights.extend(Tensor(w[b, h, :size, :size]) for b, size in enumerate(layout.lengths)
+                               for h in range(heads))
+    elif collect_weights is not None:
         collect_weights.extend(Tensor(wh) for wh in w.reshape(-1, n, m))
 
     def backward(g):
-        gh = split(g)
+        gh = split(layout.pad(g) if packed else g)
         gw = gh @ np.swapaxes(vh, -1, -2)
         gv = np.swapaxes(w, -1, -2) @ gh
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
         if mask is not None:
-            _accumulate(mask, _unbroadcast(gl, mask.data.shape))
+            if packed:
+                seg, i, j = layout.pairs
+                gm = gl.sum(axis=1)[seg, i, j]
+            else:
+                gm = _unbroadcast(gl, bias.shape)
+            _accumulate(mask, gm.reshape(mask.data.shape))
         gs = gl * scale
-        _accumulate(q, merge(gs @ np.swapaxes(kt, -1, -2)))
-        _accumulate(k, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
-        _accumulate(v, merge(gv))
+        _accumulate(q, rows(gs @ np.swapaxes(kt, -1, -2)))
+        _accumulate(k, rows(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
+        _accumulate(v, rows(gv))
 
     inputs = (q, k, v) if mask is None else (q, k, v, mask)
-    return _from_op(merge(w @ vh), inputs, backward)
+    return _from_op(rows(w @ vh), inputs, backward)
 
 
 # ---------------------------------------------------------------------------

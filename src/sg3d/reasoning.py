@@ -12,6 +12,12 @@ The 3D stream never consumes oracle values, so its forward outputs are
 identical with and without the oracle branch; the oracle influences the
 3D parameters only through gradients (cross-attention keys/values and
 the shared edge encoder).
+
+The forward runs on a packed batch of scenes (`PreparedScene`): the
+scenes' node rows and edge rows are concatenated, linear layers and the
+gated GNN work on the packed rows, and attention stays inside each scene
+through the `Segments` layouts. A one-scene batch is the plain
+single-scene forward.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders
-from .autodiff import Tensor
+from .autodiff import Segments, Tensor
 from .encoders import glorot
 from .errors import ConfigError, DataError
 from .scene import (InstanceAttributes, SceneGraphSample, compute_attributes,
@@ -159,52 +165,68 @@ class ModelState:
 
 def multi_head_attention(query_stream: Tensor, kv_stream: Tensor, params: dict[str, Tensor],
                          n_heads: int, mask: Tensor | None = None,
-                         collect_weights: list | None = None) -> Tensor:
+                         collect_weights: list | None = None,
+                         layout: Segments | None = None) -> Tensor:
     """Scaled dot-product attention with residual add into the query stream.
 
     The mask, when given, is added to the pre-softmax logits of every head.
+    With a layout, both streams are packed rows of that layout and each
+    row attends within its own scene (see `autodiff.attention`).
     """
     q = ad.linear(query_stream, params["wq"], params["bq"])
     k = ad.linear(kv_stream, params["wk"], params["bk"])
     v = ad.linear(kv_stream, params["wv"], params["bv"])
-    merged = ad.attention(q, k, v, n_heads, mask=mask, collect_weights=collect_weights)
+    merged = ad.attention(q, k, v, n_heads, mask=mask, collect_weights=collect_weights,
+                          layout=layout)
     return ad.add(query_stream, ad.linear(merged, params["wo"], params["bo"]))
 
 
-def mhsa(nodes: Tensor, params: dict[str, Tensor], n_heads: int) -> Tensor:
-    return multi_head_attention(nodes, nodes, params, n_heads)
+def mhsa(nodes: Tensor, params: dict[str, Tensor], n_heads: int,
+         layout: Segments | None = None) -> Tensor:
+    return multi_head_attention(nodes, nodes, params, n_heads, layout=layout)
 
 
 def mhca_node(oracle_nodes: Tensor, threed_nodes: Tensor, mask: Tensor,
               params: dict[str, Tensor], n_heads: int,
-              collect_weights: list | None = None) -> Tensor:
+              collect_weights: list | None = None, layout: Segments | None = None) -> Tensor:
     """Oracle nodes query the 3D nodes; additive distance mask on the logits."""
     return multi_head_attention(oracle_nodes, threed_nodes, params, n_heads,
-                                mask=mask, collect_weights=collect_weights)
+                                mask=mask, collect_weights=collect_weights, layout=layout)
 
 
 def mhca_edge(oracle_edges: Tensor, threed_edges: Tensor, params: dict[str, Tensor],
-              n_heads: int, collect_weights: list | None = None) -> Tensor:
+              n_heads: int, collect_weights: list | None = None,
+              layout: Segments | None = None) -> Tensor:
     """Oracle edges query the 3D edges over all ordered pairs, no mask."""
     return multi_head_attention(oracle_edges, threed_edges, params, n_heads,
-                                collect_weights=collect_weights)
+                                collect_weights=collect_weights, layout=layout)
 
 
-def mask_input_matrix(attrs: list[InstanceAttributes]) -> np.ndarray:
-    """(K*K, 4) rows of cat(mu_i - mu_j, ||mu_i - mu_j||), diagonal included."""
+def mask_input_matrix(attrs: list[InstanceAttributes], layout: Segments | None = None) -> np.ndarray:
+    """Rows cat(mu_i - mu_j, ||mu_i - mu_j||), 4 wide, for every ordered pair
+    (i, j) of instances in the same scene, diagonal included, in
+    `layout.pairs` order. Without a layout all instances form one scene:
+    K*K rows, row-major in (i, j)."""
+    layout = Segments([len(attrs)]) if layout is None else layout
+    seg, i, j = layout.pairs
     mus = np.stack([a.mean for a in attrs])
-    diff = mus[:, None, :] - mus[None, :, :]
+    diff = mus[layout.starts[seg] + i] - mus[layout.starts[seg] + j]
     norm = np.sqrt((diff ** 2).sum(-1, keepdims=True))
-    return np.concatenate([diff, norm], axis=-1).reshape(-1, 4)
+    return np.concatenate([diff, norm], axis=-1)
 
 
-def distance_mask(attrs: list[InstanceAttributes], params: dict[str, Tensor]) -> Tensor:
-    """Learned scalar mask per ordered pair, shaped (K, K)."""
-    k = len(attrs)
-    x = Tensor(mask_input_matrix(attrs))
+def distance_mask(attrs: list[InstanceAttributes], params: dict[str, Tensor],
+                  layout: Segments | None = None) -> Tensor:
+    """Learned scalar mask per ordered pair of instances in the same scene.
+
+    Shaped (K, K) for one scene; for a packed batch of several, one value per
+    pair in `layout.pairs` order, the form `autodiff.attention` reads.
+    """
+    x = Tensor(mask_input_matrix(attrs, layout))
     h = ad.relu(ad.linear(x, params["w1"], params["b1"]))
     out = ad.linear(h, params["w2"], params["b2"])
-    return ad.reshape(out, (k, k))
+    one_scene = layout is None or layout.count == 1
+    return ad.reshape(out, (len(attrs), len(attrs)) if one_scene else (-1,))
 
 
 def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
@@ -235,21 +257,29 @@ def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
 
 @dataclass
 class PreparedScene:
-    """Constant per-scene arrays shared by every forward pass."""
+    """Constant arrays of a packed batch of scenes, shared by every forward pass.
+
+    K and E count the node and edge rows of all the batch's scenes, scene by
+    scene; `subj` and `obj` index the packed node rows. One scene is a batch
+    of one.
+    """
 
     point_sets: list[np.ndarray]
     attrs: list[InstanceAttributes]
     subj: np.ndarray
     obj: np.ndarray
-    avg_matrix: np.ndarray        # (K, E) averaging over outgoing edges
+    avg_matrix: np.ndarray        # (K, E) averaging over outgoing edges, block diagonal
     descriptors: np.ndarray       # (E, 11)
-    visual: np.ndarray | None
+    visual: np.ndarray | None     # None unless every scene has visual features
     gt_objects: np.ndarray        # (K,)
     gt_pred_rows: np.ndarray      # (E, N_rel)
-    scene_id: str = ""
+    nodes: Segments               # node rows per scene
+    edges: Segments               # edge rows per scene
+    scene_ids: list[str]
 
 
 def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
+    """One scene as a batch of one."""
     k = sample.k
     attrs = [compute_attributes(inst) for inst in sample.instances]
     subj, obj = pair_index_arrays(k)
@@ -266,7 +296,36 @@ def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
         visual=sample.visual_features,
         gt_objects=np.array([inst.gt_class for inst in sample.instances], dtype=np.intp),
         gt_pred_rows=predicate_gt_rows(sample),
-        scene_id=sample.scene_id,
+        nodes=Segments([k]),
+        edges=Segments([len(subj)]),
+        scene_ids=[sample.scene_id],
+    )
+
+
+def pack_scenes(scenes: list[PreparedScene]) -> PreparedScene:
+    """Concatenate batches into one: node rows, then edge rows, in list order,
+    with `subj` and `obj` shifted to the packed node rows."""
+    if len(scenes) == 1:
+        return scenes[0]
+    nodes = Segments(np.concatenate([s.nodes.lengths for s in scenes]))
+    edges = Segments(np.concatenate([s.edges.lengths for s in scenes]))
+    avg = np.zeros((nodes.total, edges.total))
+    for s, row, col in zip(scenes, nodes.starts, edges.starts):
+        avg[row:row + s.nodes.total, col:col + s.edges.total] = s.avg_matrix
+    visual = [s.visual for s in scenes]
+    return PreparedScene(
+        point_sets=[p for s in scenes for p in s.point_sets],
+        attrs=[a for s in scenes for a in s.attrs],
+        subj=np.concatenate([s.subj + off for s, off in zip(scenes, nodes.starts)]),
+        obj=np.concatenate([s.obj + off for s, off in zip(scenes, nodes.starts)]),
+        avg_matrix=avg,
+        descriptors=np.concatenate([s.descriptors for s in scenes]),
+        visual=None if any(v is None for v in visual) else np.concatenate(visual),
+        gt_objects=np.concatenate([s.gt_objects for s in scenes]),
+        gt_pred_rows=np.concatenate([s.gt_pred_rows for s in scenes]),
+        nodes=nodes,
+        edges=edges,
+        scene_ids=[i for s in scenes for i in s.scene_ids],
     )
 
 
@@ -286,7 +345,7 @@ def _triplet_features(nodes: Tensor, edges: Tensor, subj, obj) -> Tensor:
 
 
 def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") -> ForwardResult:
-    """Run the reasoning stack on one scene.
+    """Run the reasoning stack on a packed batch (one scene or many).
 
     mode "3d": 3D branch only. mode "joint": additionally runs the oracle
     branch and the cross-attention collaborations; 3D outputs are
@@ -299,10 +358,10 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
     if joint and not cfg.joint:
         raise ConfigError("model was built without the oracle branch")
     if joint and scene.visual is None:
-        raise DataError(f"scene {scene.scene_id}: joint forward requires visual features")
+        raise DataError(f"scenes {', '.join(scene.scene_ids)}: joint forward requires "
+                        f"visual features")
 
-    k = len(scene.point_sets)
-    has_edges = k > 1
+    has_edges = scene.edges.total > 0
 
     nodes0_3d = encoders.encode_nodes_3d(scene.point_sets, model.subtree("enc3d", "point"))
     state_3d = GraphState(
@@ -318,24 +377,26 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
         # the oracle consumes the same geometric edge features; gradients from
         # its losses flow back into the shared edge encoder
         state_or = GraphState(nodes=nodes0_or, edges=state_3d.edges)
-        mask = distance_mask(scene.attrs, model.subtree("mask_mlp"))
+        mask = distance_mask(scene.attrs, model.subtree("mask_mlp"), scene.nodes)
 
     for layer in range(cfg.layers):
         if joint:
             collab = model.subtree("collab", f"layer{layer}")
-            state_or.nodes = mhca_node(state_or.nodes, state_3d.nodes, mask, collab["node"], cfg.heads)
+            state_or.nodes = mhca_node(state_or.nodes, state_3d.nodes, mask, collab["node"],
+                                       cfg.heads, layout=scene.nodes)
 
         r3d = model.subtree("reason3d", f"layer{layer}")
-        state_3d.nodes = mhsa(state_3d.nodes, r3d["mhsa"], cfg.heads)
+        state_3d.nodes = mhsa(state_3d.nodes, r3d["mhsa"], cfg.heads, scene.nodes)
         state_3d = fat_gnn_layer(state_3d, r3d["gnn"], scene.subj, scene.obj, scene.avg_matrix)
 
         if joint:
             ror = model.subtree("reason_oracle", f"layer{layer}")
-            state_or.nodes = mhsa(state_or.nodes, ror["mhsa"], cfg.heads)
+            state_or.nodes = mhsa(state_or.nodes, ror["mhsa"], cfg.heads, scene.nodes)
             state_or = fat_gnn_layer(state_or, ror["gnn"], scene.subj, scene.obj, scene.avg_matrix)
             if has_edges:
                 collab = model.subtree("collab", f"layer{layer}")
-                state_or.edges = mhca_edge(state_or.edges, state_3d.edges, collab["edge"], cfg.heads)
+                state_or.edges = mhca_edge(state_or.edges, state_3d.edges, collab["edge"],
+                                           cfg.heads, layout=scene.edges)
 
     head3d = model.subtree("head3d")
     obj_logits_3d = ad.linear(state_3d.nodes, head3d["obj_w"], head3d["obj_b"])

@@ -12,8 +12,13 @@ toward the template text embeddings of ground-truth relations, and a
 negative-cosine alignment of pre-reasoning node features.
 
 The baseline mode trains the 3D branch alone with only the first two
-3D terms. Batching runs one tape per scene and sums gradients, which
-is identical to differentiating the summed batch loss.
+3D terms.
+
+A mini-batch trains as one packed graph (`pack_train_scenes`): one tape,
+one forward and one backward per batch, then one optimizer step. Each
+loss term is a per-scene mean (`autodiff.segment_mean`), so the batch
+objective is the sum of its scenes' losses and every scene's terms are
+logged as if it had run alone.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Segments, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
-from .reasoning import ForwardResult, ModelConfig, ModelState, PreparedScene, forward_scene, prepare_scene
+from .reasoning import (ForwardResult, ModelConfig, ModelState, PreparedScene, forward_scene,
+                        pack_scenes, prepare_scene)
 from .scene import SceneGraphSample, Vocabulary, relation_terms
 from .synthetic import EmbeddingProvider
 
@@ -47,51 +53,55 @@ class LossWeights:
 
 # ---------------------------------------------------------------------------
 # loss terms
+#
+# Each term is one mean per scene: `rows` gives the scenes' rows of a packed
+# batch (None: the rows are one scene), and the result is a (scenes,) vector.
 
 
-def loss_obj(logits: Tensor, gt: np.ndarray) -> Tensor:
+def loss_obj(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> Tensor:
     """Mean softmax cross-entropy over instances."""
     gt = np.asarray(gt, dtype=np.intp)
     if gt.min() < 0 or gt.max() >= logits.data.shape[1]:
         raise DataError("object label out of range")
     ls = ad.log_softmax(logits, axis=1)
-    return ad.neg(ad.tmean(ad.take_per_row(ls, gt)))
+    return ad.neg(ad.segment_mean(ad.take_per_row(ls, gt), rows))
 
 
-def loss_pred(logits: Tensor, gt: np.ndarray) -> Tensor:
+def loss_pred(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> Tensor:
     """Mean binary cross-entropy with logits over all pairs and classes.
 
     All ordered pairs participate; pairs without any ground-truth
-    predicate act as negatives for every class.
+    predicate act as negatives for every class. A scene without pairs
+    scores 0.
     """
     gt = np.asarray(gt, dtype=np.float64)
     if gt.shape != logits.data.shape:
         raise DataError(f"predicate gt shape {gt.shape} != logits shape {logits.data.shape}")
     # bce(x, y) = softplus(x) - x*y
-    return ad.tmean(ad.sub(ad.softplus(logits), ad.mul(logits, Tensor(gt))))
+    return ad.segment_mean(ad.sub(ad.softplus(logits), ad.mul(logits, Tensor(gt))), rows)
 
 
-def loss_tri_emb(fused_rows: Tensor | None, text_rows: np.ndarray) -> Tensor:
+def loss_tri_emb(fused_rows: Tensor | None, text_rows: np.ndarray,
+                 rows: Segments | None = None) -> Tensor:
     """Mean-per-dimension L1 distance, averaged over ground-truth terms.
 
     Callers pass one fused row per (pair, gt-predicate) term, duplicating
     the pair row when it holds several predicates. Zero (with zero
-    gradient) when the scene has no ground-truth relations.
+    gradient) for a scene without ground-truth relations.
     """
     if fused_rows is None or fused_rows.data.shape[0] == 0:
         return Tensor(0.0)
-    m, d = fused_rows.data.shape
-    diff = ad.sub(fused_rows, Tensor(text_rows))
-    return ad.mul(ad.tsum(ad.absolute(diff)), 1.0 / (m * d))
+    return ad.segment_mean(ad.absolute(ad.sub(fused_rows, Tensor(text_rows))), rows)
 
 
-def loss_node_init(threed_nodes: Tensor, oracle_nodes: Tensor, eps: float = 1e-12) -> Tensor:
+def loss_node_init(threed_nodes: Tensor, oracle_nodes: Tensor, eps: float = 1e-12,
+                   rows: Segments | None = None) -> Tensor:
     """Mean negative cosine between aligned pre-reasoning node features."""
     dot = ad.tsum(ad.mul(threed_nodes, oracle_nodes), axis=1)
     na = ad.sqrt(ad.tsum(ad.mul(threed_nodes, threed_nodes), axis=1))
     nb = ad.sqrt(ad.tsum(ad.mul(oracle_nodes, oracle_nodes), axis=1))
     cos = ad.div(dot, ad.add(ad.mul(na, nb), eps))
-    return ad.neg(ad.tmean(cos))
+    return ad.neg(ad.segment_mean(cos, rows))
 
 
 @dataclass
@@ -158,6 +168,13 @@ class AdamW:
 
     With a zero gradient a step changes a parameter exactly to
     p * (1 - lr * weight_decay).
+
+    The parameters, `m` and `v` each live in one flat buffer, in the order
+    of `params`, and a step updates them with whole-buffer ops. Each
+    parameter's `data` becomes a view into the parameter buffer; a
+    parameter whose `data` was rebound since is copied back in at the next
+    step. The update is elementwise, so it is bitwise that of a loop over
+    the tensors.
     """
 
     def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.999),
@@ -167,8 +184,19 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        ends = np.cumsum([p.data.size for p in params.values()]).tolist()
+        self._slots = {name: (end - p.data.size, end, p.data.shape)
+                       for (name, p), end in zip(params.items(), ends)}
+        self.flat = np.concatenate([p.data for p in params.values()], axis=None)
+        self._views = self.named(self.flat)
+        for name, p in params.items():
+            p.data = self._views[name]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+
+    def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views into a flat buffer (`flat`, `m` or `v`)."""
+        return {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in self._slots.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -180,64 +208,99 @@ class AdamW:
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data * (1.0 - lr * self.weight_decay) - lr * update
+            if p.data is not self._views[name]:
+                self._views[name][...] = p.data
+                p.data = self._views[name]
+        g = np.concatenate([p.grad if p.grad is not None else np.zeros_like(p.data)
+                            for p in self.params.values()], axis=None)
+        m, v, x = self.m, self.v, self.flat
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        x *= 1.0 - lr * self.weight_decay
+        x -= lr * update
 
 
 # ---------------------------------------------------------------------------
-# per-scene loss assembly
+# packed-batch loss assembly
 
 
 @dataclass
 class TrainScene:
+    """A packed batch of training scenes (one scene is a batch of one)."""
+
     prepared: PreparedScene
-    tri_pair_indices: np.ndarray   # (M,) pair index per gt term
+    tri_pair_indices: np.ndarray   # (M,) packed edge row per gt term
     tri_text_rows: np.ndarray      # (M, d_emb)
+    terms: Segments                # gt terms per scene
 
 
 def build_train_scene(sample: SceneGraphSample, provider: EmbeddingProvider | None) -> TrainScene:
     prepared = prepare_scene(sample)
     if provider is None:
-        return TrainScene(prepared, np.zeros(0, dtype=np.intp), np.zeros((0, 0)))
+        return TrainScene(prepared, np.zeros(0, dtype=np.intp), np.zeros((0, 0)), Segments([0]))
     pair, subj, pred, obj = relation_terms(prepared.gt_pred_rows, prepared.gt_objects)
     text = provider.text_embedding_rows(np.stack([subj, pred, obj], axis=1).tolist())
-    return TrainScene(prepared=prepared, tri_pair_indices=pair, tri_text_rows=text)
+    return TrainScene(prepared=prepared, tri_pair_indices=pair, tri_text_rows=text,
+                      terms=Segments([len(pair)]))
+
+
+def pack_train_scenes(scenes: list[TrainScene]) -> TrainScene:
+    """One packed batch of the scenes, in list order (see `pack_scenes`)."""
+    if len(scenes) == 1:
+        return scenes[0]
+    offsets = np.cumsum([0] + [ts.prepared.edges.total for ts in scenes[:-1]])
+    return TrainScene(
+        prepared=pack_scenes([ts.prepared for ts in scenes]),
+        tri_pair_indices=np.concatenate([ts.tri_pair_indices + off
+                                         for ts, off in zip(scenes, offsets)]),
+        tri_text_rows=np.concatenate([ts.tri_text_rows for ts in scenes]),
+        terms=Segments(np.concatenate([ts.terms.lengths for ts in scenes])),
+    )
 
 
 def scene_loss(model: ModelState, ts: TrainScene, weights: LossWeights,
-               vlsat: bool) -> tuple[Tensor, dict[str, float | None]]:
-    """Forward one scene and assemble the (weighted) objective."""
+               vlsat: bool) -> tuple[Tensor, dict[str, np.ndarray | None]]:
+    """Forward a packed batch and assemble its objective, the sum of its
+    scenes' weighted losses.
+
+    Also returns every loss term per scene, a (scenes,) array, or None for
+    a term the mode leaves out.
+    """
     mode = "joint" if vlsat else "3d"
-    result: ForwardResult = forward_scene(model, ts.prepared, mode)
+    p = ts.prepared
+    result: ForwardResult = forward_scene(model, p, mode)
     parts = LossParts(
-        obj_3d=loss_obj(result.obj_logits_3d, ts.prepared.gt_objects),
-        pred_3d=(loss_pred(result.pred_logits_3d, ts.prepared.gt_pred_rows)
+        obj_3d=loss_obj(result.obj_logits_3d, p.gt_objects, p.nodes),
+        pred_3d=(loss_pred(result.pred_logits_3d, p.gt_pred_rows, p.edges)
                  if result.pred_logits_3d is not None else Tensor(0.0)),
     )
     if vlsat:
-        parts.obj_oracle = loss_obj(result.obj_logits_oracle, ts.prepared.gt_objects)
-        parts.pred_oracle = (loss_pred(result.pred_logits_oracle, ts.prepared.gt_pred_rows)
+        parts.obj_oracle = loss_obj(result.obj_logits_oracle, p.gt_objects, p.nodes)
+        parts.pred_oracle = (loss_pred(result.pred_logits_oracle, p.gt_pred_rows, p.edges)
                              if result.pred_logits_oracle is not None else Tensor(0.0))
         if result.fused_triplets is not None and len(ts.tri_pair_indices):
             fused = ad.gather_rows(result.fused_triplets, ts.tri_pair_indices)
-            parts.tri_emb = loss_tri_emb(fused, ts.tri_text_rows)
+            parts.tri_emb = loss_tri_emb(fused, ts.tri_text_rows, ts.terms)
         else:
             parts.tri_emb = Tensor(0.0)
-        parts.node_init = loss_node_init(result.nodes0_3d, result.nodes0_oracle)
-    total = total_loss(parts, weights)
-    values = {
-        "loss_obj_3d": parts.obj_3d.item(),
-        "loss_pred_3d": parts.pred_3d.item(),
-        "loss_obj_or": parts.obj_oracle.item() if parts.obj_oracle is not None else None,
-        "loss_pred_or": parts.pred_oracle.item() if parts.pred_oracle is not None else None,
-        "loss_tri": parts.tri_emb.item() if parts.tri_emb is not None else None,
-        "loss_node": parts.node_init.item() if parts.node_init is not None else None,
-        "loss_total": total.item(),
+        parts.node_init = loss_node_init(result.nodes0_3d, result.nodes0_oracle, rows=p.nodes)
+    per_scene = total_loss(parts, weights)
+    terms = {
+        "loss_obj_3d": parts.obj_3d,
+        "loss_pred_3d": parts.pred_3d,
+        "loss_obj_or": parts.obj_oracle,
+        "loss_pred_or": parts.pred_oracle,
+        "loss_tri": parts.tri_emb,
+        "loss_node": parts.node_init,
+        "loss_total": per_scene,
     }
-    return total, values
+    # a constant Tensor(0.0) term is 0 for every scene
+    values = {k: None if t is None else np.broadcast_to(t.data, (p.nodes.count,))
+              for k, t in terms.items()}
+    return ad.tsum(per_scene), values
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +366,9 @@ def train(samples: list[SceneGraphSample], vocab: Vocabulary,
         if resume.train_config.vlsat != vlsat:
             raise ConfigError(f"cannot resume a vlsat={not vlsat} checkpoint with vlsat={vlsat}")
         model, optimizer, start_epoch = resume.restore()
+        if start_epoch > train_cfg.epochs:
+            raise ConfigError(f"the checkpoint has trained {start_epoch} epochs, more than "
+                              f"epochs={train_cfg.epochs}")
     else:
         model = ModelState(replace(model_cfg, joint=vlsat))
         init_emb = train_cfg.init_classifiers_from_embeddings
@@ -327,23 +393,22 @@ def train(samples: list[SceneGraphSample], vocab: Vocabulary,
         order = _epoch_rng(train_cfg.seed, epoch).permutation(len(prepared))
         sums = {k: 0.0 for k in term_keys}
         have = {k: 0 for k in term_keys}
-        for batch_start in range(0, len(order), train_cfg.batch_size):
+        for batch_no, batch_start in enumerate(range(0, len(order), train_cfg.batch_size)):
             batch = order[batch_start:batch_start + train_cfg.batch_size]
+            ts = pack_train_scenes([prepared[i] for i in batch])
             optimizer.zero_grad()
-            for scene_pos in batch:
-                ts = prepared[scene_pos]
-                try:
-                    with Tape() as tape:
-                        total, values = scene_loss(model, ts, weights, vlsat)
-                        tape.backward(total)
-                except NumericError as e:
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_start // train_cfg.batch_size}, "
-                        f"scene {ts.prepared.scene_id}: {e}") from e
-                for k in term_keys:
-                    if values[k] is not None:
-                        sums[k] += values[k]
-                        have[k] += 1
+            try:
+                with Tape() as tape:
+                    total, values = scene_loss(model, ts, weights, vlsat)
+                    tape.backward(total)
+            except NumericError as e:
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch}, batch {batch_no}, "
+                    f"scenes {', '.join(ts.prepared.scene_ids)}: {e}") from e
+            for k in term_keys:
+                if values[k] is not None:
+                    sums[k] += float(values[k].sum())
+                    have[k] += len(values[k])
             optimizer.step(lr)
         record = {"epoch": epoch, "lr": lr}
         for k in term_keys:
@@ -407,8 +472,8 @@ class Checkpoint:
             "params": {k: _encode_array(p.data) for k, p in model.params.items()},
             "optimizer": {
                 "step": optimizer.step_count,
-                "m": {k: _encode_array(v) for k, v in optimizer.m.items()},
-                "v": {k: _encode_array(v) for k, v in optimizer.v.items()},
+                "m": {k: _encode_array(v) for k, v in optimizer.named(optimizer.m).items()},
+                "v": {k: _encode_array(v) for k, v in optimizer.named(optimizer.v).items()},
             },
             "extra": extra or {},
         }
@@ -480,6 +545,7 @@ class Checkpoint:
             blobs = self.payload["optimizer"][moment]
             if set(blobs) != set(shapes):
                 raise DataError(f"checkpoint optimizer.{moment} names do not match the parameters")
-            setattr(optimizer, moment, {k: _decode_array(v, shapes[k], f"optimizer.{moment}.{k}")
-                                        for k, v in blobs.items()})
+            views = optimizer.named(getattr(optimizer, moment))
+            for k, blob in blobs.items():
+                views[k][...] = _decode_array(blob, shapes[k], f"optimizer.{moment}.{k}")
         return model, optimizer, self.payload["next_epoch"]

@@ -369,3 +369,114 @@ def test_segment_max_rejects_bad_starts():
     for starts in ([1, 2], [0, 2, 2], [0, 3, 1], [0, 4], []):
         with pytest.raises(DimensionError):
             ad.segment_max(x, starts)
+
+
+# ---------------------------------------------------------------------------
+# packed batch layouts: attention within each segment, one mean per segment
+
+PACKED_LENGTHS = [(3,), (2, 4), (1, 3, 2), (4, 4), (0, 2, 3), (1, 1)]
+
+
+def test_segments_index_arrays():
+    rows = ad.Segments([2, 0, 3])
+    assert (rows.count, rows.total, rows.longest) == (3, 5, 3)
+    assert rows.seg.tolist() == [0, 0, 2, 2, 2] and rows.pos.tolist() == [0, 1, 0, 1, 2]
+    seg, i, j = rows.pairs
+    assert list(zip(seg.tolist(), i.tolist(), j.tolist())) == \
+        [(0, a, b) for a in range(2) for b in range(2)] + [(2, a, b) for a in range(3) for b in range(3)]
+    x = np.arange(10.0).reshape(5, 2)
+    assert np.array_equal(rows.unpad(rows.pad(x)), x)
+    assert np.array_equal(rows.key_bias[:, 0, 0], [[0, 0, ad.PAD_BIAS], [ad.PAD_BIAS] * 3, [0, 0, 0]])
+    assert ad.Segments([2, 2]).key_bias is None
+
+
+@pytest.mark.parametrize("lengths", PACKED_LENGTHS)
+@pytest.mark.parametrize("masked", [False, True])
+def test_packed_attention_gradients(lengths, masked):
+    rng = np.random.default_rng(900 + 10 * len(lengths) + sum(lengths) + masked)
+    layout = ad.Segments(lengths)
+    q, k, v = (param(rng, layout.total, 8) for _ in range(3))
+    params = {"q": q, "k": k, "v": v}
+    if masked:
+        params["mask"] = param(rng, int(sum(n * n for n in lengths)))
+    weights = rng.standard_normal((layout.total, 8))
+
+    def loss():
+        out = ad.attention(q, k, v, 2, mask=params.get("mask"), layout=layout)
+        return ad.tsum(ad.mul(out, Tensor(weights)))
+
+    check_params(loss, params, rng, rtol=RTOL)
+
+
+@pytest.mark.parametrize("lengths", PACKED_LENGTHS)
+def test_packed_attention_matches_each_segment_alone(lengths):
+    # padding changes the softmax summation order, so the two agree to
+    # rounding, not bitwise
+    rng = np.random.default_rng(950 + sum(lengths) + len(lengths))
+    layout = ad.Segments(lengths)
+    q, k, v = (param(rng, layout.total, 8) for _ in range(3))
+    mask = param(rng, int(sum(n * n for n in lengths)))
+    weights = Tensor(rng.standard_normal((layout.total, 8)))
+    leaves = {"q": q, "k": k, "v": v, "mask": mask}
+
+    def grads(fn):
+        for t in leaves.values():
+            t.zero_grad()
+        collected = []
+        with Tape() as tape:
+            out = fn(collected)
+            tape.backward(ad.tsum(ad.mul(out, weights)))
+        return out.data, collected, {n: np.zeros_like(t.data) if t.grad is None else t.grad
+                                     for n, t in leaves.items()}
+
+    def packed(collected):
+        return ad.attention(q, k, v, 4, mask=mask, collect_weights=collected, layout=layout)
+
+    def alone(collected):
+        outs, pair_start = [], 0
+        for start, n in zip(layout.starts, lengths):
+            if n == 0:  # the packed op lists an empty weight matrix per head
+                collected.extend(Tensor(np.zeros((0, 0))) for _ in range(4))
+                continue
+            rows = [ad.narrow(x, 0, int(start), int(n)) for x in (q, k, v)]
+            block = ad.reshape(ad.narrow(mask, 0, pair_start, n * n), (n, n))
+            outs.append(ad.attention(*rows, 4, mask=block, collect_weights=collected))
+            pair_start += n * n
+        return ad.concat(outs, axis=0)
+
+    out, w_packed, g_packed = grads(packed)
+    ref, w_alone, g_alone = grads(alone)
+    assert np.allclose(out, ref, rtol=0, atol=1e-13)
+    assert len(w_packed) == len(w_alone)
+    for a, b in zip(w_packed, w_alone):
+        assert a.data.shape == b.data.shape and np.allclose(a.data, b.data, rtol=0, atol=1e-14)
+    scale = max(float(np.abs(g).max()) for g in g_alone.values())
+    for name in leaves:
+        assert np.abs(g_packed[name] - g_alone[name]).max() <= 1e-12 * scale, name
+
+
+def test_packed_attention_rejects_mismatched_rows():
+    layout = ad.Segments([2, 3])
+    with pytest.raises(DimensionError):
+        ad.attention(Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))),
+                     2, layout=layout)
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3)])
+def test_segment_mean_gradients_and_values(shape):
+    rng = np.random.default_rng(980 + len(shape))
+    rows = ad.Segments([2, 0, 4, 1])
+    x = param(rng, *shape)
+    out = ad.segment_mean(x, rows).data
+    for b, (start, n) in enumerate(zip(rows.starts, rows.lengths)):
+        want = x.data[start:start + n].mean() if n else 0.0
+        assert abs(out[b] - want) <= 1e-15 * max(1.0, abs(want))
+    assert np.array_equal(ad.segment_mean(x).data.shape, (1,))
+    weights = rng.standard_normal(rows.count)
+    check_params(lambda: ad.tsum(ad.mul(ad.segment_mean(x, rows), Tensor(weights))),
+                 {"x": x}, rng, rtol=RTOL)
+
+
+def test_segment_mean_rejects_mismatched_rows():
+    with pytest.raises(DimensionError):
+        ad.segment_mean(Tensor(np.zeros(3)), ad.Segments([2, 2]))

@@ -115,6 +115,30 @@ class TestTrain:
                          "--config", cfg, mode, "--epochs", "5", "--resume", str(ck)]) == 2
         assert not (tmp_path / "r" / "checkpoint.json").exists()
 
+    def test_resume_with_fewer_epochs_exit_code(self, workspace, tmp_path):
+        root, cfg = workspace
+        run = tmp_path / "r4"
+        assert main(["train", "--dataset", str(root / "ds"), "--out", str(run),
+                     "--config", cfg, "--no-vlsat", "--epochs", "4"]) == 0
+        before = (run / "checkpoint.json").read_bytes()
+        assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "r2"),
+                     "--config", cfg, "--no-vlsat", "--epochs", "2",
+                     "--resume", str(run / "checkpoint.json")]) == 2
+        assert not (tmp_path / "r2" / "checkpoint.json").exists()
+        assert (run / "checkpoint.json").read_bytes() == before
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_training_exit_code(self, workspace, tmp_path, caplog):
+        root, cfg = workspace
+        ck = Checkpoint.load(root / "run" / "checkpoint.json")
+        model, optimizer, next_epoch = ck.restore()
+        model.params["enc3d.point.w1"].data[...] = 1e308
+        path = tmp_path / "huge.json"
+        Checkpoint.capture(model, optimizer, ck.train_config, next_epoch, ck.vocab_hash).save(path)
+        assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "r"),
+                     "--config", cfg, "--vlsat", "--epochs", "4", "--resume", str(path)]) == 4
+        assert f"epoch {next_epoch}, batch 0, scenes train_" in caplog.text
+
     def test_non_finite_scene_value_exit_code(self, workspace, tmp_path):
         root, cfg = workspace
         ds = tmp_path / "ds"

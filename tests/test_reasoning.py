@@ -41,9 +41,12 @@ def make_sample(rng, k=3, n_rel=3, with_visual=True, d_vis=6):
                             predicate_gt=gt, visual_features=visual)
 
 
-def per_head_attention(query_stream, kv_stream, params, n_heads, mask=None, collect_weights=None):
+def per_head_attention(query_stream, kv_stream, params, n_heads, mask=None, collect_weights=None,
+                       layout=None):
     """Reference composite of `multi_head_attention`: one narrow, transpose,
-    matmul and softmax chain per head, then a concat."""
+    matmul and softmax chain per head, then a concat. One scene only: a
+    layout, when passed, must have a single segment."""
+    assert layout is None or layout.count == 1
     d = query_stream.data.shape[1]
     dh = d // n_heads
     q = ad.linear(query_stream, params["wq"], params["bq"])

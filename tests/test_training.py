@@ -3,17 +3,19 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sg3d import autodiff as ad
 from sg3d import encoders, reasoning
 from sg3d.autodiff import Tape, Tensor
-from sg3d.errors import ConfigError, DataError
-from sg3d.reasoning import ModelConfig, ModelState
+from sg3d.errors import ConfigError, DataError, NumericError
+from sg3d.reasoning import ModelConfig, ModelState, forward_scene
 from sg3d.synthetic import EmbeddingProvider, WorldConfig, generate_dataset, provider_from_manifest
 from sg3d.training import (AdamW, Checkpoint, LossParts, LossWeights, TrainConfig,
-                           apply_embedding_init, build_train_scene, cosine_lr,
+                           _epoch_rng, apply_embedding_init, build_train_scene, cosine_lr,
                            init_classifier_from_embeddings, loss_node_init,
-                           loss_obj, loss_pred, loss_tri_emb, scene_loss,
+                           loss_obj, loss_pred, loss_tri_emb, pack_train_scenes, scene_loss,
                            total_loss, train)
 
 from gradcheck import check_params
@@ -228,6 +230,60 @@ class TestOptimizer:
             opt.step(lr=0.05)
         assert abs(p.data[0]) < 0.2
 
+    def test_flat_buffers_match_per_tensor_loop_bitwise(self):
+        rng = np.random.default_rng(9)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 1, 3), "d": (1,), "e": (4, 2)}
+        start = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        flat = {n: Tensor(x.copy(), requires_grad=True) for n, x in start.items()}
+        loop = {n: Tensor(x.copy(), requires_grad=True) for n, x in start.items()}
+        opt = AdamW(flat, betas=(0.8, 0.99), eps=1e-7, weight_decay=0.05)
+        ref = PerTensorAdamW(loop, betas=(0.8, 0.99), eps=1e-7, weight_decay=0.05)
+        for step in range(6):
+            for name, shape in shapes.items():
+                # some parameters get no gradient on some steps
+                g = None if (step + len(name)) % 3 == 0 or name == "d" else rng.standard_normal(shape)
+                flat[name].grad = loop[name].grad = g
+            lr = 1e-2 / (step + 1)
+            opt.step(lr)
+            ref.step(lr)
+            m, v = opt.named(opt.m), opt.named(opt.v)
+            for name in shapes:
+                assert np.array_equal(flat[name].data, loop[name].data), (step, name)
+                assert np.array_equal(m[name], ref.m[name]) and np.array_equal(v[name], ref.v[name])
+        assert opt.step_count == ref.step_count == 6
+
+    def test_rebound_parameter_is_read_at_the_next_step(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        opt = AdamW({"p": p}, weight_decay=0.5)
+        p.data = np.full(3, 2.0)
+        opt.step(lr=0.1)
+        assert np.array_equal(p.data, np.full(3, 2.0 * (1.0 - 0.1 * 0.5)))
+
+
+class PerTensorAdamW:
+    """Reference AdamW: the per-tensor loop that the flat-buffer `AdamW` replaces."""
+
+    def __init__(self, params, betas, eps, weight_decay):
+        self.params = params
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        self.step_count += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data * (1.0 - lr * self.weight_decay) - lr * update
+
 
 def tiny_world(seed=3):
     # higher tag probability so the latent rule fires even at this tiny scale
@@ -380,6 +436,31 @@ class TestCheckpoint:
         _, _, logs_b = train(samples, vocab, provider, mc2, tc2, resume=ck)
         assert full_logs == logs_a + logs_b
 
+    def test_resume_past_the_last_epoch_refused(self):
+        samples, vocab, manifest = tiny_world()
+        provider = provider_from_manifest(manifest)
+        mc, tc = tiny_configs(vlsat=False, epochs=3)
+        model, opt, _ = train(samples, vocab, provider, mc, tc)
+        ck = Checkpoint.capture(model, opt, tc, next_epoch=3, vocab_hash=vocab.content_hash())
+        with pytest.raises(ConfigError, match="3 epochs"):
+            train(samples, vocab, provider, mc, TrainConfig(**{**asdict(tc), "epochs": 2}), resume=ck)
+        _, _, logs = train(samples, vocab, provider, mc, tc, resume=ck)
+        assert logs == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_numeric_error_names_epoch_batch_and_scenes(self):
+        samples, vocab, manifest = tiny_world()
+        provider = provider_from_manifest(manifest)
+        mc, tc = tiny_configs(vlsat=False, epochs=3)
+        model, opt, _ = train(samples, vocab, provider, mc, tc, stop_epoch=1)
+        model.params["enc3d.point.w1"].data[...] = 1e308
+        ck = Checkpoint.capture(model, opt, tc, next_epoch=1, vocab_hash=vocab.content_hash())
+        ids = [s.scene_id for s in samples if s.split == "train"]
+        first = _epoch_rng(tc.seed, 1).permutation(len(ids))[:tc.batch_size]
+        with pytest.raises(NumericError) as caught:
+            train(samples, vocab, provider, mc, tc, resume=ck)
+        assert f"epoch 1, batch 0, scenes {', '.join(ids[i] for i in first)}:" in str(caught.value)
+
     def test_resume_continues_epoch_numbering(self):
         samples, vocab, manifest = tiny_world()
         provider = provider_from_manifest(manifest)
@@ -466,3 +547,69 @@ def test_tape_ops_per_scene_guard():
                 scene_loss(model, ts, LossWeights(), vlsat)
                 counts.add(len(tape.records))
         assert len(counts) == 1 and counts.pop() <= limit
+        # a packed batch of 8 scenes records one scene's ops plus at most a
+        # small constant; an op per scene would add 7 or more
+        one = len(tape.records)
+        batch = pack_train_scenes([default_scene(rng, k) for k in (2, 9, 3, 5, 4, 8, 6, 7)])
+        with Tape() as tape:
+            scene_loss(model, batch, LossWeights(), vlsat)
+            assert len(tape.records) <= one + BATCH_EXTRA_OPS
+
+
+BATCH_EXTRA_OPS = 2
+
+
+def batch_scene(rng, k, relations):
+    """A default-size training scene; without relations, every pair is a negative."""
+    sample = make_sample(rng, k=k, n_rel=13, d_vis=34)
+    if not relations:
+        sample.predicate_gt[:] = 0
+    return build_train_scene(sample, EmbeddingProvider(0, 16, 13, 32))
+
+
+def grads_and_values(model, ts, vlsat):
+    model.zero_grad()
+    with Tape() as tape:
+        total, values = scene_loss(model, ts, LossWeights(), vlsat)
+        tape.backward(total)
+    grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for n, p in model.params.items()}
+    return total.item(), values, grads
+
+
+PACKED_MODEL = ModelState(ModelConfig(joint=True))
+randomize_params(PACKED_MODEL, np.random.default_rng(42), scale=0.2)
+
+
+@pytest.mark.parametrize("vlsat", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(scenes=st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 16))
+@example(scenes=[(1, True), (1, False)], seed=0)
+@example(scenes=[(4, False), (1, True), (9, True), (2, False)], seed=1)
+def test_packed_batch_matches_per_scene(vlsat, scenes, seed):
+    # the packed batch against the same scenes run one by one: K=1 scenes are
+    # edgeless, and scenes without relations have no triplet terms
+    rng = np.random.default_rng(seed)
+    model = PACKED_MODEL
+    alone = [batch_scene(rng, k, relations) for k, relations in scenes]
+    batch = pack_train_scenes(alone)
+    total, values, grads = grads_and_values(model, batch, vlsat)
+    runs = [grads_and_values(model, ts, vlsat) for ts in alone]
+    summed = sum(run[0] for run in runs)
+    assert abs(total - summed) <= 1e-12 * abs(summed)
+    ref = {n: sum(run[2][n] for run in runs) for n in grads}
+    scale = max(float(np.abs(g).max()) for g in ref.values())
+    assert max(float(np.abs(grads[n] - ref[n]).max()) for n in ref) <= 1e-12 * scale
+    for key, per_scene in values.items():
+        if per_scene is None:
+            assert all(run[1][key] is None for run in runs)
+            continue
+        want = np.concatenate([run[1][key] for run in runs])
+        assert np.all(np.abs(per_scene - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), key
+    if vlsat:
+        joint = forward_scene(model, batch.prepared, "joint")
+        only3d = forward_scene(model, batch.prepared, "3d")
+        assert np.array_equal(joint.obj_logits_3d.data, only3d.obj_logits_3d.data)
+        if only3d.pred_logits_3d is not None:
+            assert np.array_equal(joint.pred_logits_3d.data, only3d.pred_logits_3d.data)
