@@ -6,9 +6,11 @@ softmax / log-softmax with exact Jacobian-vector products, concatenation,
 row gathering and layer norm. Fused ops carry the model's hot paths:
 
 - `attention(q, k, v, heads, mask, layout=...)`: every head of a
-  multi-head scaled dot-product attention in one op, over (..., H, N, dh)
-  stacks, with a hand-written softmax backward; given a `Segments`
-  layout, it attends within each scene of a packed batch;
+  multi-head scaled dot-product attention in one op, within each segment
+  (scene) of a `Segments` row layout, with a hand-written softmax
+  backward. One scene is a layout of one segment; a layout whose segments
+  are equally long is padded and unpadded by reshapes, without copies;
+  zero rows (the edges of a one-instance scene) give zero rows;
 - `segment_max(x, starts)`: a max-pool over each run of rows, so a
   shared point MLP can run once over the stacked points of all instances;
 - `segment_mean(x, rows)`: one mean per scene of a packed batch, so a
@@ -105,7 +107,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+        # stored as is: no code writes a gradient in place, so two tensors
+        # may share one array (`add` hands its output gradient to both inputs)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
 
@@ -159,7 +163,9 @@ class Segments:
 
     Segments are scenes; their node (or edge) rows are concatenated in
     order. The index arrays scatter the rows into zero-padded
-    (count, longest) blocks and gather them back.
+    (count, longest) blocks and gather them back. A layout is `full` when
+    every segment is as long as the longest, as one segment always is:
+    then the blocks are the rows reshaped, and no index array is built.
     """
 
     def __init__(self, lengths):
@@ -168,9 +174,10 @@ class Segments:
         self.count = len(sizes)
         self.total = sum(sizes)
         self.longest = max(sizes, default=0)
+        self.full = self.count * self.longest == self.total
 
     # the index arrays are built on first use: a one-scene layout, as
-    # prediction makes for every scene, needs few of them
+    # prediction makes for every scene, needs none of them
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -200,21 +207,40 @@ class Segments:
     @cached_property
     def key_bias(self) -> np.ndarray | None:
         """(count, 1, 1, longest) bias of 0 on real rows and PAD_BIAS on padding;
-        None when every segment is full."""
-        real = np.arange(self.longest) < self.lengths[:, None]
-        if real.all():
+        None for a full layout."""
+        if self.full:
             return None
+        real = np.arange(self.longest) < self.lengths[:, None]
         return np.where(real, 0.0, PAD_BIAS)[:, None, None, :]
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """(total, D) rows -> (count, longest, D), zeros after each segment's rows."""
+        if self.full:
+            return x.reshape(self.count, self.longest, x.shape[-1])
         out = np.zeros((self.count, self.longest, x.shape[-1]))
         out[self.seg, self.pos] = x
         return out
 
     def unpad(self, x: np.ndarray) -> np.ndarray:
         """(count, longest, D) -> the (total, D) rows `pad` placed."""
+        if self.full:
+            return x.reshape(self.total, x.shape[-1])
         return x[self.seg, self.pos]
+
+    def pad_pairs(self, values: np.ndarray) -> np.ndarray:
+        """One value per in-segment row pair, in `pairs` order ->
+        (count, longest, longest) blocks, zeros on padding pairs."""
+        if self.full:
+            return values.reshape(self.count, self.longest, self.longest)
+        out = np.zeros((self.count, self.longest, self.longest))
+        out[self.pairs] = values.reshape(-1)
+        return out
+
+    def unpad_pairs(self, x: np.ndarray) -> np.ndarray:
+        """(count, longest, longest) -> the values `pad_pairs` placed, in `pairs` order."""
+        if self.full:
+            return x.reshape(-1)
+        return x[self.pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +516,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax with the exact Jacobian-vector product."""
     a = as_tensor(a)
     x = a.data
-    z = x - x.max(axis=axis, keepdims=True)
+    # the initial value lets a zero-length axis through; a real row's max is unchanged
+    z = x - x.max(axis=axis, keepdims=True, initial=-np.inf)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
 
@@ -504,7 +531,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    z = x - x.max(axis=axis, keepdims=True)
+    z = x - x.max(axis=axis, keepdims=True, initial=-np.inf)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     out = z - lse
     y = np.exp(out)
@@ -517,100 +544,80 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = None,
               layout: Segments | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention as one op.
+    """Multi-head scaled dot-product attention as one op, within each segment
+    of a row layout.
 
-    q is (..., N, D); k and v are (..., M, D). The D columns split into
-    `heads` contiguous blocks of width dh, and each block attends over
-    (..., H, N, dh) stacks with logits q k^T / sqrt(dh). A mask, when given,
-    broadcasts against the (..., H, N, M) logits and is added before the
-    softmax. Returns the heads' outputs side by side, (..., N, D). With
-    `collect_weights`, one constant (N, M) Tensor per head is appended.
+    q, k and v are (N, D) rows of one shape that share `layout`; without
+    one, all N rows form a single segment. Each row attends only to the
+    rows of its own segment. The D columns split into `heads` contiguous
+    blocks of width dh, with logits q k^T / sqrt(dh) per block. Every call
+    pads the segments to the longest one, runs one (count, H, longest, dh)
+    computation with PAD_BIAS added to the logits of padded keys, and
+    unpads; a full layout (one segment, or equally long ones) is reshaped,
+    not copied. Zero rows give a (0, D) output.
 
-    With a `layout`, q, k and v are the 2-D rows of a packed batch that
-    share that layout, and each row attends only to the rows of its own
-    segment. The op pads the segments to the longest one and adds
-    PAD_BIAS to the logits of padded keys. The mask then holds one value
-    per ordered row pair of each segment, in `layout.pairs` order (any
-    shape with that many entries; a one-segment layout takes an (N, N)
-    mask as is), and goes into the same padded bias. `collect_weights`
-    gets one (n, n) Tensor per segment and head, segment-major.
+    The mask, when given, holds one value per ordered row pair of each
+    segment, in `layout.pairs` order (any shape with that many entries, so
+    one segment takes an (N, N) mask as is), and is added to every head's
+    logits before the softmax. Returns the heads' outputs side by side,
+    (N, D). `collect_weights` gets one constant (n, n) Tensor per segment
+    and head, segment-major.
 
     The backward is the softmax JVP of `softmax`, applied to every head at
     once (the FlashAttention backward without the tiling).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    n, d = q.data.shape[-2:]
-    m = k.data.shape[-2]
-    if k.data.shape[-1] != d or v.data.shape != k.data.shape:
-        raise DimensionError(f"attention shapes disagree: q {q.data.shape}, k {k.data.shape}, "
-                             f"v {v.data.shape}")
+    if q.data.ndim != 2 or not q.data.shape == k.data.shape == v.data.shape:
+        raise DimensionError(f"attention needs 2-D q, k and v of one shape, got q {q.data.shape}, "
+                             f"k {k.data.shape}, v {v.data.shape}")
+    n, d = q.data.shape
     if heads < 1 or d % heads != 0:
         raise DimensionError(f"heads ({heads}) must divide feature width ({d})")
-    if layout is not None and not (q.data.ndim == 2 and n == m == layout.total):
-        raise DimensionError(f"a packed layout of {layout.total} rows needs 2-D q, k and v of "
-                             f"that many rows, got {q.data.shape} and {k.data.shape}")
-    dh = d // heads
+    layout = Segments([n]) if layout is None else layout
+    if n != layout.total:
+        raise DimensionError(f"a layout of {layout.total} rows cannot hold {n} rows")
+    count, longest, dh = layout.count, layout.longest, d // heads
     scale = 1.0 / np.sqrt(dh)
     mask = None if mask is None else as_tensor(mask)
-    # a one-segment layout needs no padding: it runs as the plain 2-D op
-    packed = layout is not None and layout.count > 1
-    qd, kd, vd = (layout.pad(x.data) for x in (q, k, v)) if packed else (q.data, k.data, v.data)
-    bias = None if mask is None else mask.data
-    if packed:
-        bias = layout.key_bias
-        if mask is not None:
-            full = np.zeros((layout.count, 1, layout.longest, layout.longest))
-            if bias is not None:
-                full += bias
-            seg, i, j = layout.pairs
-            full[seg, 0, i, j] = mask.data.reshape(-1)
-            bias = full
-    elif layout is not None and mask is not None:
-        bias = bias.reshape(n, n)
+    bias = layout.key_bias
+    if mask is not None:
+        blocks = layout.pad_pairs(mask.data)[:, None]
+        bias = blocks if bias is None else blocks + bias
 
     def split(x):
-        # (..., N, D) -> (..., H, N, dh) view
-        return np.swapaxes(x.reshape(*x.shape[:-1], heads, dh), -2, -3)
-
-    def merge(x):
-        # (..., H, N, dh) -> (..., N, D)
-        return np.swapaxes(x, -2, -3).reshape(*x.shape[:-3], x.shape[-2], d)
+        # (total, D) rows -> (count, H, longest, dh)
+        return np.swapaxes(layout.pad(x).reshape(count, longest, heads, dh), 1, 2)
 
     def rows(x):
-        # merged heads -> the op's row layout
-        return layout.unpad(merge(x)) if packed else merge(x)
+        # (count, H, longest, dh) -> (total, D) rows in C order: the key gradient
+        # is a column-major view, which a later matmul would sum in another order
+        return np.ascontiguousarray(layout.unpad(np.swapaxes(x, 1, 2).reshape(count, longest, d)))
 
     # contiguous head blocks: numpy's gemv path (a single query or key row)
     # sums in a stride-dependent order, and copies keep it that of a 2-D head
-    qh, vh = np.ascontiguousarray(split(qd)), np.ascontiguousarray(split(vd))
-    kt = np.ascontiguousarray(np.swapaxes(split(kd), -1, -2))  # (..., H, dh, M)
+    qh, vh = np.ascontiguousarray(split(q.data)), np.ascontiguousarray(split(v.data))
+    kt = np.ascontiguousarray(np.swapaxes(split(k.data), 2, 3))  # (count, H, dh, longest)
     logits = (qh @ kt) * scale
     if bias is not None:
         logits = logits + bias
-    z = logits - logits.max(axis=-1, keepdims=True)
+    # the initial value lets a segment without rows through
+    z = logits - logits.max(axis=-1, keepdims=True, initial=-np.inf)
     e = np.exp(z)
     w = e / e.sum(axis=-1, keepdims=True)
-    if collect_weights is not None and packed:
+    if collect_weights is not None:
         collect_weights.extend(Tensor(w[b, h, :size, :size]) for b, size in enumerate(layout.lengths)
                                for h in range(heads))
-    elif collect_weights is not None:
-        collect_weights.extend(Tensor(wh) for wh in w.reshape(-1, n, m))
 
     def backward(g):
-        gh = split(layout.pad(g) if packed else g)
-        gw = gh @ np.swapaxes(vh, -1, -2)
-        gv = np.swapaxes(w, -1, -2) @ gh
+        gh = split(g)
+        gw = gh @ np.swapaxes(vh, 2, 3)
+        gv = np.swapaxes(w, 2, 3) @ gh
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
         if mask is not None:
-            if packed:
-                seg, i, j = layout.pairs
-                gm = gl.sum(axis=1)[seg, i, j]
-            else:
-                gm = _unbroadcast(gl, bias.shape)
-            _accumulate(mask, gm.reshape(mask.data.shape))
+            _accumulate(mask, layout.unpad_pairs(gl.sum(axis=1)).reshape(mask.data.shape))
         gs = gl * scale
-        _accumulate(q, rows(gs @ np.swapaxes(kt, -1, -2)))
-        _accumulate(k, rows(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
+        _accumulate(q, rows(gs @ np.swapaxes(kt, 2, 3)))
+        _accumulate(k, rows(np.swapaxes(np.swapaxes(qh, 2, 3) @ gs, 2, 3)))
         _accumulate(v, rows(gv))
 
     inputs = (q, k, v) if mask is None else (q, k, v, mask)

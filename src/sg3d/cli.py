@@ -79,6 +79,9 @@ def world_config(cfg: dict, seed: int | None) -> WorldConfig:
 
 def model_config(cfg: dict, manifest: dict) -> ModelConfig:
     values = dict(cfg.get("model", {}))
+    if "joint" in values:
+        raise ConfigError("model config: joint follows the training mode (--vlsat / --no-vlsat), "
+                          "not the config file")
     wc = manifest["world_config"]
     values.setdefault("n_obj", wc["n_obj"])
     values.setdefault("n_rel", wc["n_rel"])
@@ -197,13 +200,9 @@ def train_stage(samples, vocab: Vocabulary, provider, mc: ModelConfig, tc: Train
 def _predict_scene(model: ModelState, sample) -> ScenePrediction:
     prepared = prepare_scene(sample)
     result = forward_scene(model, prepared, "3d")
-    obj_probs = ad.softmax(result.obj_logits_3d, axis=1).data
-    if result.pred_logits_3d is not None:
-        pred_probs = ad.sigmoid(result.pred_logits_3d).data
-    else:
-        pred_probs = np.zeros((0, model.cfg.n_rel))
-    return ScenePrediction(scene_id=sample.scene_id, object_probs=obj_probs,
-                           predicate_probs=pred_probs,
+    return ScenePrediction(scene_id=sample.scene_id,
+                           object_probs=ad.softmax(result.obj_logits_3d, axis=1).data,
+                           predicate_probs=ad.sigmoid(result.pred_logits_3d).data,
                            gt_objects=prepared.gt_objects,
                            gt_predicate_rows=prepared.gt_pred_rows.astype(np.uint8))
 

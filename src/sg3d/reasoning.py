@@ -16,8 +16,8 @@ the shared edge encoder).
 The forward runs on a packed batch of scenes (`PreparedScene`): the
 scenes' node rows and edge rows are concatenated, linear layers and the
 gated GNN work on the packed rows, and attention stays inside each scene
-through the `Segments` layouts. A one-scene batch is the plain
-single-scene forward.
+through the `Segments` layouts. A one-scene batch runs the same code, and
+a one-instance scene runs the edge path on zero edge rows.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class ModelConfig:
 @dataclass
 class GraphState:
     nodes: Tensor          # (K, D)
-    edges: Tensor | None   # (E, D), None when K < 2
+    edges: Tensor          # (E, D); E = 0 when K = 1
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +217,13 @@ def mask_input_matrix(attrs: list[InstanceAttributes], layout: Segments | None =
 
 def distance_mask(attrs: list[InstanceAttributes], params: dict[str, Tensor],
                   layout: Segments | None = None) -> Tensor:
-    """Learned scalar mask per ordered pair of instances in the same scene.
-
-    Shaped (K, K) for one scene; for a packed batch of several, one value per
-    pair in `layout.pairs` order, the form `autodiff.attention` reads.
+    """Learned scalar mask per ordered pair of instances in the same scene:
+    one value per pair in `layout.pairs` order (without a layout, the K*K
+    pairs of one scene, row-major), the form `autodiff.attention` reads.
     """
     x = Tensor(mask_input_matrix(attrs, layout))
     h = ad.relu(ad.linear(x, params["w1"], params["b1"]))
-    out = ad.linear(h, params["w2"], params["b2"])
-    one_scene = layout is None or layout.count == 1
-    return ad.reshape(out, (len(attrs), len(attrs)) if one_scene else (-1,))
+    return ad.reshape(ad.linear(h, params["w2"], params["b2"]), (-1,))
 
 
 def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
@@ -237,8 +234,6 @@ def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
     e' = e + W_e (g*m); nodes average g*m over their outgoing edges:
     n' = n + W_n mean_j(g*m).
     """
-    if state.edges is None:
-        return state
     n_i = ad.gather_rows(state.nodes, subj)
     n_j = ad.gather_rows(state.nodes, obj)
     cat = ad.concat([n_i, state.edges, n_j], axis=1)
@@ -332,7 +327,7 @@ def pack_scenes(scenes: list[PreparedScene]) -> PreparedScene:
 @dataclass
 class ForwardResult:
     obj_logits_3d: Tensor
-    pred_logits_3d: Tensor | None
+    pred_logits_3d: Tensor
     nodes0_3d: Tensor
     obj_logits_oracle: Tensor | None = None
     pred_logits_oracle: Tensor | None = None
@@ -361,12 +356,10 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
         raise DataError(f"scenes {', '.join(scene.scene_ids)}: joint forward requires "
                         f"visual features")
 
-    has_edges = scene.edges.total > 0
-
     nodes0_3d = encoders.encode_nodes_3d(scene.point_sets, model.subtree("enc3d", "point"))
     state_3d = GraphState(
         nodes=nodes0_3d,
-        edges=encoders.encode_edges(scene.descriptors, model.subtree("enc3d", "edge")) if has_edges else None,
+        edges=encoders.encode_edges(scene.descriptors, model.subtree("enc3d", "edge")),
     )
 
     state_or = None
@@ -393,27 +386,21 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
             ror = model.subtree("reason_oracle", f"layer{layer}")
             state_or.nodes = mhsa(state_or.nodes, ror["mhsa"], cfg.heads, scene.nodes)
             state_or = fat_gnn_layer(state_or, ror["gnn"], scene.subj, scene.obj, scene.avg_matrix)
-            if has_edges:
-                collab = model.subtree("collab", f"layer{layer}")
-                state_or.edges = mhca_edge(state_or.edges, state_3d.edges, collab["edge"],
-                                           cfg.heads, layout=scene.edges)
+            state_or.edges = mhca_edge(state_or.edges, state_3d.edges, collab["edge"],
+                                       cfg.heads, layout=scene.edges)
 
     head3d = model.subtree("head3d")
     obj_logits_3d = ad.linear(state_3d.nodes, head3d["obj_w"], head3d["obj_b"])
-    pred_logits_3d = None
-    if has_edges:
-        tri_3d = _triplet_features(state_3d.nodes, state_3d.edges, scene.subj, scene.obj)
-        pred_logits_3d = ad.linear(tri_3d, head3d["pred_w"], head3d["pred_b"])
-
+    tri_3d = _triplet_features(state_3d.nodes, state_3d.edges, scene.subj, scene.obj)
+    pred_logits_3d = ad.linear(tri_3d, head3d["pred_w"], head3d["pred_b"])
     result = ForwardResult(obj_logits_3d=obj_logits_3d, pred_logits_3d=pred_logits_3d,
                            nodes0_3d=nodes0_3d)
     if joint:
         head_or = model.subtree("head_oracle")
         result.nodes0_oracle = nodes0_or
         result.obj_logits_oracle = ad.linear(state_or.nodes, head_or["obj_w"], head_or["obj_b"])
-        if has_edges:
-            tri_or = _triplet_features(state_or.nodes, state_or.edges, scene.subj, scene.obj)
-            result.pred_logits_oracle = ad.linear(tri_or, head_or["pred_w"], head_or["pred_b"])
-            fuse = model.subtree("fuse")
-            result.fused_triplets = ad.linear(tri_or, fuse["w"], fuse["b"])
+        tri_or = _triplet_features(state_or.nodes, state_or.edges, scene.subj, scene.obj)
+        result.pred_logits_oracle = ad.linear(tri_or, head_or["pred_w"], head_or["pred_b"])
+        fuse = model.subtree("fuse")
+        result.fused_triplets = ad.linear(tri_or, fuse["w"], fuse["b"])
     return result

@@ -81,7 +81,7 @@ def loss_pred(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> T
     return ad.segment_mean(ad.sub(ad.softplus(logits), ad.mul(logits, Tensor(gt))), rows)
 
 
-def loss_tri_emb(fused_rows: Tensor | None, text_rows: np.ndarray,
+def loss_tri_emb(fused_rows: Tensor, text_rows: np.ndarray,
                  rows: Segments | None = None) -> Tensor:
     """Mean-per-dimension L1 distance, averaged over ground-truth terms.
 
@@ -89,8 +89,6 @@ def loss_tri_emb(fused_rows: Tensor | None, text_rows: np.ndarray,
     the pair row when it holds several predicates. Zero (with zero
     gradient) for a scene without ground-truth relations.
     """
-    if fused_rows is None or fused_rows.data.shape[0] == 0:
-        return Tensor(0.0)
     return ad.segment_mean(ad.absolute(ad.sub(fused_rows, Tensor(text_rows))), rows)
 
 
@@ -274,18 +272,13 @@ def scene_loss(model: ModelState, ts: TrainScene, weights: LossWeights,
     result: ForwardResult = forward_scene(model, p, mode)
     parts = LossParts(
         obj_3d=loss_obj(result.obj_logits_3d, p.gt_objects, p.nodes),
-        pred_3d=(loss_pred(result.pred_logits_3d, p.gt_pred_rows, p.edges)
-                 if result.pred_logits_3d is not None else Tensor(0.0)),
+        pred_3d=loss_pred(result.pred_logits_3d, p.gt_pred_rows, p.edges),
     )
     if vlsat:
         parts.obj_oracle = loss_obj(result.obj_logits_oracle, p.gt_objects, p.nodes)
-        parts.pred_oracle = (loss_pred(result.pred_logits_oracle, p.gt_pred_rows, p.edges)
-                             if result.pred_logits_oracle is not None else Tensor(0.0))
-        if result.fused_triplets is not None and len(ts.tri_pair_indices):
-            fused = ad.gather_rows(result.fused_triplets, ts.tri_pair_indices)
-            parts.tri_emb = loss_tri_emb(fused, ts.tri_text_rows, ts.terms)
-        else:
-            parts.tri_emb = Tensor(0.0)
+        parts.pred_oracle = loss_pred(result.pred_logits_oracle, p.gt_pred_rows, p.edges)
+        fused = ad.gather_rows(result.fused_triplets, ts.tri_pair_indices)
+        parts.tri_emb = loss_tri_emb(fused, ts.tri_text_rows, ts.terms)
         parts.node_init = loss_node_init(result.nodes0_3d, result.nodes0_oracle, rows=p.nodes)
     per_scene = total_loss(parts, weights)
     terms = {
@@ -297,9 +290,7 @@ def scene_loss(model: ModelState, ts: TrainScene, weights: LossWeights,
         "loss_node": parts.node_init,
         "loss_total": per_scene,
     }
-    # a constant Tensor(0.0) term is 0 for every scene
-    values = {k: None if t is None else np.broadcast_to(t.data, (p.nodes.count,))
-              for k, t in terms.items()}
+    values = {k: None if t is None else t.data for k, t in terms.items()}
     return ad.tsum(per_scene), values
 
 

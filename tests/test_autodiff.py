@@ -241,6 +241,20 @@ def test_gather_rows_duplicate_indices():
     assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+def test_shared_first_gradient_survives_a_later_contribution():
+    # add's backward hands one array to both inputs as their first gradient;
+    # a second contribution to one of them must not change the other's
+    rng = np.random.default_rng(7)
+    x, y = param(rng, 3, 4), param(rng, 3, 4)
+    c, w = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    with Tape() as tape:
+        u = ad.mul(x, Tensor(c))  # recorded first, so its backward runs last
+        s = ad.add(x, y)
+        tape.backward(ad.tsum(ad.mul(ad.add(s, u), Tensor(w))))
+    assert np.array_equal(y.grad, w)
+    assert np.array_equal(x.grad, w + w * c)
+
+
 def test_tape_reuse_rejected():
     with Tape():
         with pytest.raises(ContractError):
@@ -251,11 +265,13 @@ def test_tape_reuse_rejected():
 # ---------------------------------------------------------------------------
 # fused ops
 
-# (query rows N, key rows M, heads, masked); D = 8 throughout
+# (query rows N, key rows M, heads, masked); D = 8 throughout, and attention
+# takes M = N. q, k and v are distinct tensors in every case, as in the
+# cross-attention the model runs.
 ATTENTION_CASES = [
-    (3, 3, 1, False), (3, 3, 2, True), (4, 4, 4, False), (4, 4, 4, True),   # self
-    (2, 5, 2, False), (5, 2, 4, True), (3, 7, 1, True), (4, 1, 2, False),   # cross
-    (1, 4, 2, True), (1, 1, 1, False), (1, 1, 2, True), (1, 1, 4, False),   # N = 1, K = 1
+    (3, 3, 1, False), (3, 3, 2, True), (4, 4, 4, False), (4, 4, 4, True),
+    (5, 5, 2, False), (2, 2, 4, True), (7, 7, 1, True), (4, 4, 2, True),
+    (1, 1, 2, False), (1, 1, 1, False), (1, 1, 2, True), (1, 1, 4, False),   # N = 1, K = 1
 ]
 
 
@@ -275,35 +291,47 @@ def test_attention_gradients(n, m, heads, masked):
     check_params(loss, params, rng, rtol=RTOL)
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_attention_batch_axis_gradients(masked):
-    rng = np.random.default_rng(750 + masked)
-    q, k, v = param(rng, 2, 3, 8), param(rng, 2, 4, 8), param(rng, 2, 4, 8)
-    params = {"q": q, "k": k, "v": v}
-    if masked:
-        params["mask"] = param(rng, 2, 1, 3, 4)  # per batch entry, shared by the heads
-    weights = rng.standard_normal((2, 3, 8))
-
-    def loss():
-        out = ad.attention(q, k, v, 2, mask=params.get("mask"))
-        return ad.tsum(ad.mul(out, Tensor(weights)))
-
-    check_params(loss, params, rng, rtol=RTOL)
-
-
 def test_attention_batch_axis_equals_per_entry():
+    # a full layout (equally long segments) runs its segments on the batch
+    # axis of one computation, bitwise as each segment runs alone
     rng = np.random.default_rng(760)
-    q, k, v = (rng.standard_normal((3, n, 8)) for n in (4, 5, 5))
-    mask = rng.standard_normal((3, 1, 4, 5))
-    batched = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4, mask=Tensor(mask)).data
+    layout = ad.Segments([4, 4, 4])
+    assert layout.full and not ad.Segments([4, 3]).full
+    q, k, v = (rng.standard_normal((12, 8)) for _ in range(3))
+    mask = rng.standard_normal(48)
+    batched_w, one_w = [], []
+    batched = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4, mask=Tensor(mask),
+                           collect_weights=batched_w, layout=layout).data
     for b in range(3):
-        one = ad.attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 4, mask=Tensor(mask[b, 0]))
-        assert np.array_equal(batched[b], one.data)
+        rows = slice(4 * b, 4 * b + 4)
+        one = ad.attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 4,
+                           mask=Tensor(mask[16 * b:16 * b + 16]), collect_weights=one_w)
+        assert np.array_equal(batched[rows], one.data)
+    assert len(batched_w) == len(one_w) == 12
+    for a, b in zip(batched_w, one_w):
+        assert np.array_equal(a.data, b.data)
+    # a full layout pads and unpads by reshaping, without a copy
+    assert np.shares_memory(layout.pad(q), q)
+    padded = layout.pad(q).copy()
+    assert np.shares_memory(layout.unpad(padded), padded)
+    assert np.array_equal(layout.unpad(padded), q)
+
+
+@pytest.mark.parametrize("lengths", [(3,), (2, 2), (3, 1)])
+def test_attention_gradients_are_row_major(lengths):
+    # gradients are stored as handed over, and BLAS sums a column-major
+    # operand in another order: the op must hand over C-ordered rows
+    rng = np.random.default_rng(762)
+    layout = ad.Segments(lengths)
+    q, k, v = (param(rng, layout.total, 8) for _ in range(3))
+    with Tape() as tape:
+        tape.backward(ad.tsum(ad.attention(q, k, v, 2, layout=layout)))
+    assert all(x.grad.flags.c_contiguous for x in (q, k, v))
 
 
 def test_attention_hand_case_per_head():
     rng = np.random.default_rng(761)
-    q, k, v = rng.standard_normal((3, 6)), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+    q, k, v = rng.standard_normal((5, 6)), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
     weights = []
     out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, collect_weights=weights).data
     assert len(weights) == 3
@@ -321,6 +349,8 @@ def test_attention_shape_errors():
         ad.attention(x, x, x, 3)
     with pytest.raises(DimensionError):
         ad.attention(x, Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))), 2)
+    with pytest.raises(DimensionError):  # queries and keys are the same rows of one layout
+        ad.attention(x, Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))), 2)
 
 
 @pytest.mark.parametrize("lengths", [(1,), (3,), (1, 1, 1), (2, 1, 4), (5, 1), (1, 6, 2, 1)])

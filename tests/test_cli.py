@@ -105,6 +105,15 @@ class TestTrain:
         records = [json.loads(l) for l in (tmp_path / "r5" / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in records] == [3, 4]
 
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_joint_model_key_refused(self, workspace, tmp_path, joint):
+        # the training mode alone decides whether the model has the oracle branch
+        root, cfg = workspace
+        bad = write_config(tmp_path, model={"d": 16, "heads": 2, "layers": 1, "joint": joint})
+        assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "r"),
+                     "--config", bad, "--vlsat", "--epochs", "1"]) == 2
+        assert not (tmp_path / "r" / "train_log.jsonl").exists()
+
     def test_resume_across_modes_exit_code(self, workspace, tmp_path):
         root, cfg = workspace
         assert main(["train", "--dataset", str(root / "ds"), "--out", str(tmp_path / "b"),

@@ -45,10 +45,13 @@ def per_head_attention(query_stream, kv_stream, params, n_heads, mask=None, coll
                        layout=None):
     """Reference composite of `multi_head_attention`: one narrow, transpose,
     matmul and softmax chain per head, then a concat. One scene only: a
-    layout, when passed, must have a single segment."""
+    layout, when passed, must have a single segment. The mask holds the
+    scene's N*N pair values in any shape; zero rows give zero rows."""
     assert layout is None or layout.count == 1
-    d = query_stream.data.shape[1]
+    n, d = query_stream.data.shape
     dh = d // n_heads
+    if mask is not None:
+        mask = ad.reshape(mask, (n, n))
     q = ad.linear(query_stream, params["wq"], params["bq"])
     k = ad.linear(kv_stream, params["wk"], params["bk"])
     v = ad.linear(kv_stream, params["wv"], params["bv"])
@@ -72,11 +75,12 @@ class TestFusedAttention:
         rng = np.random.default_rng(30 + heads)
         for trial in range(20):
             params = _attention_params(rng, 8)
-            n = int(rng.integers(1, 10))
-            m = n if trial % 2 else int(rng.integers(1, 73))
+            # a query and a key/value stream of the same rows; odd trials reach
+            # the edge counts of the largest scenes
+            n = int(rng.integers(1, 10)) if trial % 2 else int(rng.integers(1, 73))
             q = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
-            kv = Tensor(rng.standard_normal((m, 8)), requires_grad=True)
-            mask = Tensor(rng.standard_normal((n, m)), requires_grad=True) if trial % 3 == 0 else None
+            kv = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+            mask = Tensor(rng.standard_normal((n, n)), requires_grad=True) if trial % 3 == 0 else None
             leaves = dict(params, q=q, kv=kv, **({"mask": mask} if mask is not None else {}))
             weights = Tensor(rng.standard_normal((n, 8)))
             fused_w, ref_w = [], []
@@ -163,7 +167,7 @@ class TestDistanceMask:
         rng = np.random.default_rng(3)
         params = self.mask_params(rng)
         attrs = self.attrs_from(rng, 3)
-        mask = distance_mask(attrs, params).data
+        mask = distance_mask(attrs, params).data.reshape(3, 3)
         rows = mask_input_matrix(attrs)
         assert np.array_equal(rows.reshape(3, 3, 4)[np.arange(3), np.arange(3)], np.zeros((3, 4)))
         zero_out = ad.linear(ad.relu(ad.linear(Tensor(np.zeros((1, 4))), params["w1"], params["b1"])),
@@ -249,12 +253,16 @@ class TestMHCA:
 
 class TestFatGnn:
     def test_k1_passthrough(self):
+        # one instance has no edges: the layer runs on (0, D) edge rows and
+        # leaves the node bitwise as it was
         rng = np.random.default_rng(11)
         params = _gnn_params(rng, 8)
-        state = GraphState(nodes=Tensor(rng.standard_normal((1, 8))), edges=None)
+        nodes = rng.standard_normal((1, 8))
+        state = GraphState(nodes=Tensor(nodes), edges=Tensor(np.zeros((0, 8))))
         out = fat_gnn_layer(state, params, np.zeros(0, dtype=np.intp),
                             np.zeros(0, dtype=np.intp), np.zeros((1, 0)))
-        assert out is state
+        assert np.array_equal(out.nodes.data, nodes)
+        assert out.edges.data.shape == (0, 8)
 
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(12)
@@ -330,8 +338,9 @@ class TestForwardScene:
         scene = prepare_scene(make_sample(rng, k=1))
         out = forward_scene(model, scene, "joint")
         assert out.obj_logits_3d.data.shape == (1, 4)
-        assert out.pred_logits_3d is None
-        assert out.fused_triplets is None
+        assert out.pred_logits_3d.data.shape == (0, 3)
+        assert out.pred_logits_oracle.data.shape == (0, 3)
+        assert out.fused_triplets.data.shape == (0, 8)
 
     def test_deterministic(self):
         rng = np.random.default_rng(19)
