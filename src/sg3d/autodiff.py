@@ -11,10 +11,10 @@ row gathering and layer norm. Fused ops carry the model's hot paths:
   backward. One scene is a layout of one segment; a layout whose segments
   are equally long is padded and unpadded by reshapes, without copies;
   zero rows (the edges of a one-instance scene) give zero rows;
-- `segment_max(x, starts)`: a max-pool over each run of rows, so a
-  shared point MLP can run once over the stacked points of all instances;
-- `segment_mean(x, rows)`: one mean per scene of a packed batch, so a
-  batch's objective is the sum of its scenes' losses.
+- `segment_max(x, rows)` and `segment_mean(x, rows)`: one `reduceat` over
+  the segments of a `Segments` layout (points per instance, out-edges per
+  node, rows per scene), so a segment's result and gradient do not depend
+  on where it sits in the layout.
 
 Ops record a backward closure on the active tape; replaying the tape in
 reverse accumulates exact adjoints.
@@ -161,11 +161,12 @@ PAD_BIAS = -1e300
 class Segments:
     """Row layout of a packed batch: segment b owns the next `lengths[b]` rows.
 
-    Segments are scenes; their node (or edge) rows are concatenated in
-    order. The index arrays scatter the rows into zero-padded
-    (count, longest) blocks and gather them back. A layout is `full` when
-    every segment is as long as the longest, as one segment always is:
-    then the blocks are the rows reshaped, and no index array is built.
+    Every run of rows is one: each scene's nodes or edges, each instance's
+    points, each node's outgoing edges. The index arrays scatter the rows
+    into zero-padded (count, longest) blocks and gather them back. A layout
+    is `full` when every segment is as long as the longest, as one segment
+    always is: then the blocks are the rows reshaped, and no index array is
+    built.
     """
 
     def __init__(self, lengths):
@@ -310,7 +311,7 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
     def backward(g):
-        # a constant operand (points, descriptors, the averaging matrix) needs no product
+        # a constant operand (points, descriptors) needs no product
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
@@ -452,27 +453,24 @@ def amax(a, axis: int, keepdims: bool = False) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def segment_max(x, starts) -> Tensor:
-    """Max over each run of rows of a 2-D tensor: out[s] = max(x[starts[s]:starts[s+1]]).
+def segment_max(x, rows: Segments) -> Tensor:
+    """Max over each segment's rows of a 2-D tensor, as (count, columns).
 
-    The last run ends at the last row; starts must rise strictly from 0. The
-    gradient routes to the first argmax per run and column, like `amax`.
+    Every segment needs a row. The gradient routes to the first argmax per
+    segment and column, like `amax`.
     """
     x = as_tensor(x)
-    starts = np.asarray(starts, dtype=np.intp)
     if x.data.ndim != 2:
         raise DimensionError("segment_max expects a 2-D tensor")
-    n = x.data.shape[0]
-    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or np.any(np.diff(starts) <= 0) \
-            or starts[-1] >= n:
-        raise DimensionError(f"segment starts must rise strictly from 0 below {n}, got {starts}")
-    out = np.maximum.reduceat(x.data, starts, axis=0)
+    if x.data.shape[0] != rows.total or not rows.lengths.all():
+        raise DimensionError(f"segment_max of {x.data.shape[0]} rows needs a layout of as many "
+                             f"rows and no empty segment, got lengths {rows.lengths}")
+    out = np.maximum.reduceat(x.data, rows.starts, axis=0)
 
     def backward(g):
-        lengths = np.diff(np.append(starts, n))
-        hit = x.data == np.repeat(out, lengths, axis=0)
-        rows = np.where(hit, np.arange(n)[:, None], n)
-        first = np.minimum.reduceat(rows, starts, axis=0)
+        n = rows.total
+        hit = x.data == np.repeat(out, rows.lengths, axis=0)
+        first = np.minimum.reduceat(np.where(hit, np.arange(n)[:, None], n), rows.starts, axis=0)
         gx = np.zeros_like(x.data)
         gx[first, np.arange(x.data.shape[1])] = g
         _accumulate(x, gx)
@@ -481,11 +479,12 @@ def segment_max(x, starts) -> Tensor:
 
 
 def segment_mean(x, rows: Segments | None = None) -> Tensor:
-    """Mean over every entry of each segment's rows, as a (count,) vector.
+    """Mean of each segment's rows, as (count, *x.shape[1:]); 0 for an empty
+    segment. Without `rows`, all rows form one segment.
 
-    Row r of segment b weighs 1 / (lengths[b] * row width), so summing the
-    output adds up the segments' means; an empty segment gives 0. Without
-    `rows`, all rows form one segment.
+    One `np.add.reduceat` over the non-empty segments sums each segment's
+    rows on their own, so its mean and gradient are bitwise those of the
+    segment alone, wherever it sits in the layout.
     """
     x = as_tensor(x)
     if x.data.ndim == 0:
@@ -494,18 +493,15 @@ def segment_mean(x, rows: Segments | None = None) -> Tensor:
     rows = Segments([n]) if rows is None else rows
     if n != rows.total:
         raise DimensionError(f"segment_mean of {n} rows over a {rows.total}-row layout")
-    width = int(np.prod(x.data.shape[1:]))
-    scale = np.zeros(rows.count)
-    full = rows.lengths > 0
-    scale[full] = 1.0 / (rows.lengths[full] * width)
-    row_sums = x.data.reshape(n, width).sum(axis=1)
-    out = np.bincount(rows.seg, weights=row_sums, minlength=rows.count) * scale
+    sizes = np.maximum(rows.lengths, 1).reshape((rows.count,) + (1,) * (x.data.ndim - 1))
+    filled = rows.lengths > 0
+    sums = np.zeros((rows.count,) + x.data.shape[1:])
+    sums[filled] = np.add.reduceat(x.data, rows.starts[filled], axis=0)
 
     def backward(g):
-        per_row = (g * scale)[rows.seg].reshape((n,) + (1,) * (x.data.ndim - 1))
-        _accumulate(x, np.broadcast_to(per_row, x.data.shape).copy())
+        _accumulate(x, np.repeat(g / sizes, rows.lengths, axis=0))
 
-    return _from_op(out, (x,), backward)
+    return _from_op(sums / sizes, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

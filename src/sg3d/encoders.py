@@ -9,7 +9,7 @@ The raw edge descriptor concatenates attribute differences
 The log ratios are computed as differences of logs so that the exact
 antisymmetry x_ij == -x_ji holds bitwise.
 
-Descriptors and point sets are data constants; gradients flow only
+Descriptors and points are data constants; gradients flow only
 through the MLP parameters.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Segments, Tensor
 from .errors import DataError, DimensionError
 from .scene import InstanceAttributes
 
@@ -60,21 +60,15 @@ def init_visual_proj(rng: np.random.Generator, d_vis: int, d: int) -> dict[str, 
     }
 
 
-def encode_nodes_3d(point_sets: list[np.ndarray], params: dict[str, Tensor]) -> Tensor:
-    """All instances of a scene -> (K, D).
+def encode_nodes_3d(points: np.ndarray, instances: Segments, params: dict[str, Tensor]) -> Tensor:
+    """Stacked (P, 3) points of K instances -> (K, D).
 
-    The shared per-point MLP runs once over the stacked points of all K
-    instances; a segment max then pools each instance's rows.
+    The shared per-point MLP runs once over all the points; a segment max
+    then pools each instance's rows of the `instances` layout.
     """
-    sizes = []
-    for pts in point_sets:
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-            raise DataError("point set must be a non-empty (n, 3) array")
-        sizes.append(pts.shape[0])
-    starts = np.cumsum([0] + sizes[:-1])
-    h = ad.relu(ad.linear(Tensor(np.concatenate(point_sets)), params["w1"], params["b1"]))
+    h = ad.relu(ad.linear(Tensor(points), params["w1"], params["b1"]))
     h = ad.relu(ad.linear(h, params["w2"], params["b2"]))
-    return ad.linear(ad.segment_max(h, starts), params["w3"], params["b3"])
+    return ad.linear(ad.segment_max(h, instances), params["w3"], params["b3"])
 
 
 def edge_descriptor(attr_i: InstanceAttributes, attr_j: InstanceAttributes) -> np.ndarray:

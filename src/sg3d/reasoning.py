@@ -218,21 +218,23 @@ def mask_input_matrix(attrs: list[InstanceAttributes], layout: Segments | None =
 def distance_mask(attrs: list[InstanceAttributes], params: dict[str, Tensor],
                   layout: Segments | None = None) -> Tensor:
     """Learned scalar mask per ordered pair of instances in the same scene:
-    one value per pair in `layout.pairs` order (without a layout, the K*K
-    pairs of one scene, row-major), the form `autodiff.attention` reads.
+    a (P, 1) column, one value per pair in `layout.pairs` order (without a
+    layout, the K*K pairs of one scene, row-major), as `attention` reads it.
     """
     x = Tensor(mask_input_matrix(attrs, layout))
     h = ad.relu(ad.linear(x, params["w1"], params["b1"]))
-    return ad.reshape(ad.linear(h, params["w2"], params["b2"]), (-1,))
+    return ad.linear(h, params["w2"], params["b2"])
 
 
 def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
-                  subj: np.ndarray, obj: np.ndarray, avg_matrix: np.ndarray) -> GraphState:
+                  subj: np.ndarray, obj: np.ndarray, out_edges: Segments) -> GraphState:
     """Gated node/edge message passing in residual form.
 
     For each directed edge: m = W_m cat(n_i, e_ij, n_j), gate g = sigmoid(W_g m),
     e' = e + W_e (g*m); nodes average g*m over their outgoing edges:
-    n' = n + W_n mean_j(g*m).
+    n' = n + W_n mean_j(g*m). `out_edges` gives each node's outgoing edge
+    rows, contiguous in the canonical pair order; a node without edges
+    (a one-instance scene) pools 0.
     """
     n_i = ad.gather_rows(state.nodes, subj)
     n_j = ad.gather_rows(state.nodes, obj)
@@ -241,7 +243,7 @@ def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
     gate = ad.sigmoid(ad.matmul(m, params["w_g"]))
     gm = ad.mul(gate, m)
     edges = ad.add(state.edges, ad.matmul(gm, params["w_e"]))
-    pooled = ad.matmul(Tensor(avg_matrix), gm)
+    pooled = ad.segment_mean(gm, out_edges)
     nodes = ad.add(state.nodes, ad.matmul(pooled, params["w_n"]))
     return GraphState(nodes=nodes, edges=edges)
 
@@ -254,22 +256,23 @@ def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
 class PreparedScene:
     """Constant arrays of a packed batch of scenes, shared by every forward pass.
 
-    K and E count the node and edge rows of all the batch's scenes, scene by
-    scene; `subj` and `obj` index the packed node rows. One scene is a batch
-    of one.
+    K, E and P count the node, edge and point rows of all the batch's
+    scenes, scene by scene; `subj` and `obj` index the packed node rows, and
+    every run of rows is a `Segments` layout. One scene is a batch of one.
     """
 
-    point_sets: list[np.ndarray]
+    points: np.ndarray            # (P, 3) the instances' points, stacked
     attrs: list[InstanceAttributes]
     subj: np.ndarray
     obj: np.ndarray
-    avg_matrix: np.ndarray        # (K, E) averaging over outgoing edges, block diagonal
     descriptors: np.ndarray       # (E, 11)
     visual: np.ndarray | None     # None unless every scene has visual features
     gt_objects: np.ndarray        # (K,)
     gt_pred_rows: np.ndarray      # (E, N_rel)
     nodes: Segments               # node rows per scene
     edges: Segments               # edge rows per scene
+    instances: Segments           # point rows per node
+    out_edges: Segments           # outgoing edge rows per node
     scene_ids: list[str]
 
 
@@ -278,48 +281,43 @@ def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
     k = sample.k
     attrs = [compute_attributes(inst) for inst in sample.instances]
     subj, obj = pair_index_arrays(k)
-    avg = np.zeros((k, len(subj)))
-    if k > 1:
-        avg[subj, np.arange(len(subj))] = 1.0 / (k - 1)
     return PreparedScene(
-        point_sets=[inst.points for inst in sample.instances],
+        points=np.concatenate([inst.points for inst in sample.instances]),
         attrs=attrs,
         subj=subj,
         obj=obj,
-        avg_matrix=avg,
         descriptors=encoders.descriptor_matrix(attrs, subj, obj),
         visual=sample.visual_features,
         gt_objects=np.array([inst.gt_class for inst in sample.instances], dtype=np.intp),
         gt_pred_rows=predicate_gt_rows(sample),
         nodes=Segments([k]),
         edges=Segments([len(subj)]),
+        instances=Segments([len(inst.points) for inst in sample.instances]),
+        out_edges=Segments([k - 1] * k),
         scene_ids=[sample.scene_id],
     )
 
 
 def pack_scenes(scenes: list[PreparedScene]) -> PreparedScene:
-    """Concatenate batches into one: node rows, then edge rows, in list order,
+    """Concatenate batches into one: every row array and layout in list order,
     with `subj` and `obj` shifted to the packed node rows."""
     if len(scenes) == 1:
         return scenes[0]
     nodes = Segments(np.concatenate([s.nodes.lengths for s in scenes]))
-    edges = Segments(np.concatenate([s.edges.lengths for s in scenes]))
-    avg = np.zeros((nodes.total, edges.total))
-    for s, row, col in zip(scenes, nodes.starts, edges.starts):
-        avg[row:row + s.nodes.total, col:col + s.edges.total] = s.avg_matrix
     visual = [s.visual for s in scenes]
     return PreparedScene(
-        point_sets=[p for s in scenes for p in s.point_sets],
+        points=np.concatenate([s.points for s in scenes]),
         attrs=[a for s in scenes for a in s.attrs],
         subj=np.concatenate([s.subj + off for s, off in zip(scenes, nodes.starts)]),
         obj=np.concatenate([s.obj + off for s, off in zip(scenes, nodes.starts)]),
-        avg_matrix=avg,
         descriptors=np.concatenate([s.descriptors for s in scenes]),
         visual=None if any(v is None for v in visual) else np.concatenate(visual),
         gt_objects=np.concatenate([s.gt_objects for s in scenes]),
         gt_pred_rows=np.concatenate([s.gt_pred_rows for s in scenes]),
         nodes=nodes,
-        edges=edges,
+        edges=Segments(np.concatenate([s.edges.lengths for s in scenes])),
+        instances=Segments(np.concatenate([s.instances.lengths for s in scenes])),
+        out_edges=Segments(np.concatenate([s.out_edges.lengths for s in scenes])),
         scene_ids=[i for s in scenes for i in s.scene_ids],
     )
 
@@ -356,7 +354,8 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
         raise DataError(f"scenes {', '.join(scene.scene_ids)}: joint forward requires "
                         f"visual features")
 
-    nodes0_3d = encoders.encode_nodes_3d(scene.point_sets, model.subtree("enc3d", "point"))
+    nodes0_3d = encoders.encode_nodes_3d(scene.points, scene.instances,
+                                         model.subtree("enc3d", "point"))
     state_3d = GraphState(
         nodes=nodes0_3d,
         edges=encoders.encode_edges(scene.descriptors, model.subtree("enc3d", "edge")),
@@ -380,12 +379,12 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
 
         r3d = model.subtree("reason3d", f"layer{layer}")
         state_3d.nodes = mhsa(state_3d.nodes, r3d["mhsa"], cfg.heads, scene.nodes)
-        state_3d = fat_gnn_layer(state_3d, r3d["gnn"], scene.subj, scene.obj, scene.avg_matrix)
+        state_3d = fat_gnn_layer(state_3d, r3d["gnn"], scene.subj, scene.obj, scene.out_edges)
 
         if joint:
             ror = model.subtree("reason_oracle", f"layer{layer}")
             state_or.nodes = mhsa(state_or.nodes, ror["mhsa"], cfg.heads, scene.nodes)
-            state_or = fat_gnn_layer(state_or, ror["gnn"], scene.subj, scene.obj, scene.avg_matrix)
+            state_or = fat_gnn_layer(state_or, ror["gnn"], scene.subj, scene.obj, scene.out_edges)
             state_or.edges = mhca_edge(state_or.edges, state_3d.edges, collab["edge"],
                                        cfg.heads, layout=scene.edges)
 

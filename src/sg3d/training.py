@@ -78,7 +78,8 @@ def loss_pred(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> T
     if gt.shape != logits.data.shape:
         raise DataError(f"predicate gt shape {gt.shape} != logits shape {logits.data.shape}")
     # bce(x, y) = softplus(x) - x*y
-    return ad.segment_mean(ad.sub(ad.softplus(logits), ad.mul(logits, Tensor(gt))), rows)
+    bce = ad.sub(ad.softplus(logits), ad.mul(logits, Tensor(gt)))
+    return ad.segment_mean(ad.tmean(bce, axis=1), rows)
 
 
 def loss_tri_emb(fused_rows: Tensor, text_rows: np.ndarray,
@@ -89,7 +90,8 @@ def loss_tri_emb(fused_rows: Tensor, text_rows: np.ndarray,
     the pair row when it holds several predicates. Zero (with zero
     gradient) for a scene without ground-truth relations.
     """
-    return ad.segment_mean(ad.absolute(ad.sub(fused_rows, Tensor(text_rows))), rows)
+    l1 = ad.absolute(ad.sub(fused_rows, Tensor(text_rows)))
+    return ad.segment_mean(ad.tmean(l1, axis=1), rows)
 
 
 def loss_node_init(threed_nodes: Tensor, oracle_nodes: Tensor, eps: float = 1e-12,
@@ -108,8 +110,8 @@ class LossParts:
     pred_3d: Tensor
     obj_oracle: Tensor | None = None
     pred_oracle: Tensor | None = None
-    tri_emb: Tensor | None = None
-    node_init: Tensor | None = None
+    tri_emb: Tensor | None = None      # the joint mode's auxiliary terms:
+    node_init: Tensor | None = None    # both or neither
 
 
 def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
@@ -120,10 +122,8 @@ def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
     if parts.pred_oracle is not None:
         pred = ad.add(pred, parts.pred_oracle)
     total = ad.add(ad.mul(obj, weights.obj), ad.mul(pred, weights.pred))
-    if parts.tri_emb is not None or parts.node_init is not None:
-        aux = parts.tri_emb if parts.tri_emb is not None else Tensor(0.0)
-        if parts.node_init is not None:
-            aux = ad.add(aux, parts.node_init)
+    if parts.tri_emb is not None:
+        aux = ad.add(parts.tri_emb, parts.node_init)
         total = ad.add(total, ad.mul(aux, weights.aux))
     return total
 
@@ -269,6 +269,9 @@ def scene_loss(model: ModelState, ts: TrainScene, weights: LossWeights,
     """
     mode = "joint" if vlsat else "3d"
     p = ts.prepared
+    if vlsat and ts.tri_text_rows.shape[1] != model.cfg.d_emb:
+        raise DataError(f"scenes {', '.join(p.scene_ids)}: text embeddings missing for the joint loss "
+                        f"(got shape {ts.tri_text_rows.shape}); build them with an embedding provider")
     result: ForwardResult = forward_scene(model, p, mode)
     parts = LossParts(
         obj_3d=loss_obj(result.obj_logits_3d, p.gt_objects, p.nodes),

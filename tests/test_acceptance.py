@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The training-based
 criteria (8 and 9) share one 3-seed experiment fixture and together
-dominate the runtime (the whole suite took 402 to 473 s on a 2-core VM).
+dominate the runtime; they are marked `slow`, so `pytest -m "not slow"`
+runs everything else.
 """
 
 import json
@@ -338,6 +339,7 @@ def _read_log(out: Path, seed: int, mode: str):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+@pytest.mark.slow
 def test_criterion_8_training_sanity(experiment):
     out, results = experiment
     seed = SEEDS[0]
@@ -361,6 +363,7 @@ def test_criterion_8_training_sanity(experiment):
     record(8, "loss halves within 60 epochs for both modes; log bitwise reproducible")
 
 
+@pytest.mark.slow
 def test_criterion_9_directional_gain(experiment):
     out, results = experiment
     tail, unseen = {"baseline": [], "vlsat": []}, {"baseline": [], "vlsat": []}

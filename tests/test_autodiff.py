@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sg3d import autodiff as ad
 from sg3d.autodiff import Tape, Tensor
@@ -357,11 +359,11 @@ def test_attention_shape_errors():
 def test_segment_max_gradients(lengths):
     rng = np.random.default_rng(800 + sum(lengths) + len(lengths))
     x = param(rng, sum(lengths), 4)
-    starts = np.cumsum((0,) + lengths[:-1])
+    rows = ad.Segments(lengths)
     weights = rng.standard_normal((len(lengths), 4))
 
     def loss():
-        return ad.tsum(ad.mul(ad.segment_max(x, starts), Tensor(weights)))
+        return ad.tsum(ad.mul(ad.segment_max(x, rows), Tensor(weights)))
 
     check_params(loss, {"x": x}, rng, rtol=RTOL)
 
@@ -374,7 +376,7 @@ def test_segment_max_matches_amax_with_ties(trial):
     lengths = rng.integers(1, 6, size=int(rng.integers(1, 6)))
     x = Tensor(rng.integers(0, 3, size=(int(lengths.sum()), 5)).astype(np.float64),
                requires_grad=True)
-    starts = np.cumsum(np.concatenate([[0], lengths[:-1]]))
+    rows = ad.Segments(lengths)
     weights = Tensor(rng.standard_normal((len(lengths), 5)))
 
     def grad_of(fn):
@@ -386,19 +388,21 @@ def test_segment_max_matches_amax_with_ties(trial):
 
     def per_segment():
         return ad.concat([ad.amax(ad.narrow(x, 0, int(s), int(n)), axis=0, keepdims=True)
-                          for s, n in zip(starts, lengths)], axis=0)
+                          for s, n in zip(rows.starts, lengths)], axis=0)
 
-    fused, g_fused = grad_of(lambda: ad.segment_max(x, starts))
+    fused, g_fused = grad_of(lambda: ad.segment_max(x, rows))
     ref, g_ref = grad_of(per_segment)
     assert np.array_equal(fused, ref)
     assert np.array_equal(g_fused, g_ref)
 
 
 def test_segment_max_rejects_bad_starts():
+    # bad segment starts: an empty segment has no max, and the layout must
+    # hold exactly the rows
     x = Tensor(np.zeros((4, 2)))
-    for starts in ([1, 2], [0, 2, 2], [0, 3, 1], [0, 4], []):
+    for lengths in ([2, 0, 2], [0, 4], [4, 0], [], [1, 2], [3, 2]):
         with pytest.raises(DimensionError):
-            ad.segment_max(x, starts)
+            ad.segment_max(x, ad.Segments(lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +502,12 @@ def test_segment_mean_gradients_and_values(shape):
     rows = ad.Segments([2, 0, 4, 1])
     x = param(rng, *shape)
     out = ad.segment_mean(x, rows).data
+    assert out.shape == (rows.count,) + shape[1:]
     for b, (start, n) in enumerate(zip(rows.starts, rows.lengths)):
-        want = x.data[start:start + n].mean() if n else 0.0
-        assert abs(out[b] - want) <= 1e-15 * max(1.0, abs(want))
-    assert np.array_equal(ad.segment_mean(x).data.shape, (1,))
-    weights = rng.standard_normal(rows.count)
+        want = x.data[start:start + n].mean(axis=0) if n else np.zeros(shape[1:])
+        assert np.all(np.abs(out[b] - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    assert ad.segment_mean(x).data.shape == (1,) + shape[1:]
+    weights = rng.standard_normal((rows.count,) + shape[1:])
     check_params(lambda: ad.tsum(ad.mul(ad.segment_mean(x, rows), Tensor(weights))),
                  {"x": x}, rng, rtol=RTOL)
 
@@ -510,3 +515,35 @@ def test_segment_mean_gradients_and_values(shape):
 def test_segment_mean_rejects_mismatched_rows():
     with pytest.raises(DimensionError):
         ad.segment_mean(Tensor(np.zeros(3)), ad.Segments([2, 2]))
+
+
+def segment_run(op, x, rows, g):
+    """(output, input gradient) of `op(x, rows)` under output gradient g."""
+    x = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = op(x, rows)
+        tape.backward(ad.tsum(ad.mul(out, Tensor(g))))
+    return out.data, x.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=10),
+       trailing=st.sampled_from([(), (1,), (5,), (32,)]), seed=st.integers(0, 2 ** 16))
+def test_segment_ops_are_batch_invariant(lengths, trailing, seed):
+    # a segment's output and input gradient are bitwise those of the segment
+    # run alone, wherever it sits in a packed layout; segment_max takes the
+    # same rows without the empty segments, which it refuses
+    rng = np.random.default_rng(seed)
+    ops = [(ad.segment_mean, lengths)]
+    if len(trailing) == 1 and any(lengths):
+        ops.append((ad.segment_max, [n for n in lengths if n]))
+    total = sum(lengths)
+    x = rng.standard_normal((total,) + trailing) * 10.0 ** rng.uniform(-3, 3, (total,) + trailing)
+    for op, sizes in ops:
+        rows = ad.Segments(sizes)
+        g = rng.standard_normal((rows.count,) + trailing)
+        out, gx = segment_run(op, x, rows, g)
+        for b, (start, n) in enumerate(zip(rows.starts, sizes)):
+            alone, g_alone = segment_run(op, x[start:start + n], ad.Segments([n]), g[b:b + 1])
+            assert np.array_equal(out[b:b + 1], alone)
+            assert np.array_equal(gx[start:start + n], g_alone)

@@ -9,10 +9,12 @@ from sg3d.errors import DataError, DimensionError
 from sg3d.encoders import (edge_descriptor, descriptor_matrix, encode_edges, encode_nodes_3d,
                            encode_nodes_oracle, init_edge_mlp, init_point_mlp,
                            init_visual_proj)
+from sg3d.reasoning import prepare_scene
 from sg3d.scene import (InstanceAttributes, SceneInstance, compute_attributes, ordered_pairs,
                         pair_index_arrays)
 
 from gradcheck import analytic_grads, check_params
+from test_reasoning import make_sample
 
 
 def rand_attrs(rng):
@@ -25,21 +27,27 @@ def dyadic_attrs(rng, n=8):
     return pts, compute_attributes(SceneInstance(0, pts, 0))
 
 
+def encode_point_sets(point_sets, params, encoder=encode_nodes_3d):
+    """`encoder` (`encode_nodes_3d` by default) of a list of (n, 3) point
+    sets, one instance each: the points stacked, with their layout."""
+    return encoder(np.concatenate(point_sets), ad.Segments([len(p) for p in point_sets]), params)
+
+
 class TestNodeEncoder:
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(0)
         params = init_point_mlp(rng, 8, 4)
         pts = rng.standard_normal((10, 3))
-        a = encode_nodes_3d([pts], params).data
-        b = encode_nodes_3d([pts[rng.permutation(10)]], params).data
+        a = encode_point_sets([pts], params).data
+        b = encode_point_sets([pts[rng.permutation(10)]], params).data
         assert np.array_equal(a, b)
 
     def test_maxpool_idempotent_on_repeats(self):
         rng = np.random.default_rng(1)
         params = init_point_mlp(rng, 8, 4)
         p = rng.standard_normal((1, 3))
-        once = encode_nodes_3d([p], params).data
-        five = encode_nodes_3d([np.repeat(p, 5, axis=0)], params).data
+        once = encode_point_sets([p], params).data
+        five = encode_point_sets([np.repeat(p, 5, axis=0)], params).data
         assert np.array_equal(once, five)
 
     def test_gradient_vs_fd(self):
@@ -49,13 +57,14 @@ class TestNodeEncoder:
         weights = rng.standard_normal((1, 4))
 
         def loss():
-            return ad.tsum(ad.mul(encode_nodes_3d([pts], params), Tensor(weights)))
+            return ad.tsum(ad.mul(encode_point_sets([pts], params), Tensor(weights)))
 
         check_params(loss, params, rng, rtol=1e-4)
 
 
-def per_instance_encoder(point_sets, params):
-    """Reference composite: the point MLP and an `amax` pool per instance.
+def per_instance_encoder(points, instances, params):
+    """Reference composite of `encode_nodes_3d`: the point MLP and an `amax`
+    pool per instance.
 
     The row-wise output projection runs once on the stacked pooled rows:
     numpy sends a one-row product to gemv, whose summation order differs
@@ -64,8 +73,8 @@ def per_instance_encoder(point_sets, params):
     the bitwise test gives every instance at least two points.
     """
     pooled = []
-    for pts in point_sets:
-        h = ad.relu(ad.linear(Tensor(pts), params["w1"], params["b1"]))
+    for start, n in zip(instances.starts, instances.lengths):
+        h = ad.relu(ad.linear(Tensor(points[start:start + n]), params["w1"], params["b1"]))
         h = ad.relu(ad.linear(h, params["w2"], params["b2"]))
         pooled.append(ad.amax(h, axis=0, keepdims=True))
     return ad.linear(ad.concat(pooled, axis=0), params["w3"], params["b3"])
@@ -81,8 +90,8 @@ class TestPackedNodeEncoder:
         for trial in range(30):
             params = init_point_mlp(rng, 64, 32)
             point_sets = self.random_scene(rng, min_points=2)
-            assert np.array_equal(encode_nodes_3d(point_sets, params).data,
-                                  per_instance_encoder(point_sets, params).data)
+            assert np.array_equal(encode_point_sets(point_sets, params).data,
+                                  encode_point_sets(point_sets, params, per_instance_encoder).data)
 
     def test_gradients_match_per_instance(self):
         rng = np.random.default_rng(21)
@@ -93,9 +102,10 @@ class TestPackedNodeEncoder:
             point_sets = self.random_scene(rng)
             weights = Tensor(rng.standard_normal((len(point_sets), 32)))
             packed = analytic_grads(
-                lambda: ad.tsum(ad.mul(encode_nodes_3d(point_sets, params), weights)), params)
+                lambda: ad.tsum(ad.mul(encode_point_sets(point_sets, params), weights)), params)
             ref = analytic_grads(
-                lambda: ad.tsum(ad.mul(per_instance_encoder(point_sets, params), weights)), params)
+                lambda: ad.tsum(ad.mul(encode_point_sets(point_sets, params, per_instance_encoder),
+                                       weights)), params)
             scale = max(float(np.abs(g).max()) for g in ref.values())
             for name in params:
                 assert np.abs(packed[name] - ref[name]).max() <= 1e-12 * scale, name
@@ -107,14 +117,21 @@ class TestPackedNodeEncoder:
         weights = rng.standard_normal((3, 4))
 
         def loss():
-            return ad.tsum(ad.mul(encode_nodes_3d(point_sets, params), Tensor(weights)))
+            return ad.tsum(ad.mul(encode_point_sets(point_sets, params), Tensor(weights)))
 
         check_params(loss, params, rng, rtol=1e-4)
 
     def test_empty_point_set_rejected(self):
-        params = init_point_mlp(np.random.default_rng(23), 4, 4)
+        # a scene is refused while it is prepared, and the pool has no
+        # empty-segment case of its own either
+        rng = np.random.default_rng(23)
+        sample = make_sample(rng, k=3)
+        sample.instances[1].points = np.zeros((0, 3))
         with pytest.raises(DataError):
-            encode_nodes_3d([np.zeros((2, 3)), np.zeros((0, 3))], params)
+            prepare_scene(sample)
+        params = init_point_mlp(rng, 4, 4)
+        with pytest.raises(DimensionError):
+            encode_nodes_3d(np.zeros((2, 3)), ad.Segments([2, 0]), params)
 
 
 class TestEdgeDescriptor:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sg3d import autodiff as ad
-from sg3d.autodiff import Tape, Tensor
+from sg3d.autodiff import Segments, Tape, Tensor
 from sg3d.errors import ConfigError, DataError
 from sg3d.reasoning import (GraphState, ModelConfig, ModelState, distance_mask,
                             fat_gnn_layer, forward_scene, mask_input_matrix,
@@ -253,14 +253,17 @@ class TestMHCA:
 
 class TestFatGnn:
     def test_k1_passthrough(self):
-        # one instance has no edges: the layer runs on (0, D) edge rows and
-        # leaves the node bitwise as it was
+        # one instance has no edges: the layer runs on (0, D) edge rows, pools
+        # 0 over the node's empty out-edge segment and leaves the node bitwise
+        # as it was
         rng = np.random.default_rng(11)
         params = _gnn_params(rng, 8)
         nodes = rng.standard_normal((1, 8))
         state = GraphState(nodes=Tensor(nodes), edges=Tensor(np.zeros((0, 8))))
+        assert np.array_equal(ad.segment_mean(Tensor(np.zeros((0, 8))), Segments([0])).data,
+                              np.zeros((1, 8)))
         out = fat_gnn_layer(state, params, np.zeros(0, dtype=np.intp),
-                            np.zeros(0, dtype=np.intp), np.zeros((1, 0)))
+                            np.zeros(0, dtype=np.intp), Segments([0]))
         assert np.array_equal(out.nodes.data, nodes)
         assert out.edges.data.shape == (0, 8)
 
@@ -270,12 +273,10 @@ class TestFatGnn:
                   for k, v in _gnn_params(rng, 8).items()}
         k = 3
         subj, obj = pair_index_arrays(k)
-        avg = np.full((k, 6), 0.0)
-        for e, (i, _) in enumerate(ordered_pairs(k)):
-            avg[i, e] = 0.5
         nodes = rng.standard_normal((3, 8))
         edges = rng.standard_normal((6, 8))
-        out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges)), params, subj, obj, avg)
+        out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges)), params, subj, obj,
+                            Segments([k - 1] * k))
         assert np.array_equal(out.nodes.data, nodes)
         assert np.array_equal(out.edges.data, edges)
 
@@ -284,16 +285,15 @@ class TestFatGnn:
         params = _gnn_params(rng, 4)
         k = 2
         subj, obj = pair_index_arrays(k)
-        avg = np.zeros((k, 2))
-        for e, (i, _) in enumerate(ordered_pairs(k)):
-            avg[i, e] = 1.0
+        out_edges = Segments([k - 1] * k)
         nodes = rng.standard_normal((2, 4))
         edges = rng.standard_normal((2, 4))
         wn = rng.standard_normal((2, 4))
         we = rng.standard_normal((2, 4))
 
         def loss():
-            out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges)), params, subj, obj, avg)
+            out = fat_gnn_layer(GraphState(Tensor(nodes), Tensor(edges)), params, subj, obj,
+                                out_edges)
             return ad.add(ad.tsum(ad.mul(out.nodes, Tensor(wn))), ad.tsum(ad.mul(out.edges, Tensor(we))))
 
         check_params(loss, params, rng, rtol=1e-4)

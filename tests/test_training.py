@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sg3d import autodiff as ad
-from sg3d import encoders, reasoning
+from sg3d import encoders, reasoning, training
 from sg3d.autodiff import Tape, Tensor
 from sg3d.errors import ConfigError, DataError, NumericError
 from sg3d.reasoning import ModelConfig, ModelState, forward_scene
@@ -144,6 +144,22 @@ class TestTotalLoss:
                           pred_oracle=one(), tri_emb=one(), node_init=one())
         w = LossWeights(obj=0.1, pred=1.0, aux=0.1)
         assert abs(total_loss(parts, w).item() - 2.4) <= 1e-12
+
+    def test_joint_loss_without_provider_refused(self, monkeypatch):
+        # a batch built without an embedding provider has no text rows: the
+        # joint loss refuses it before the forward and names its scenes
+        rng = np.random.default_rng(6)
+        model = small_model(joint=True)
+        samples = [make_sample(rng, k=3), make_sample(rng, k=2)]
+        for sample, name in zip(samples, ("s1", "s2")):
+            sample.scene_id = name
+        ts = pack_train_scenes([build_train_scene(s, None) for s in samples])
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "forward_scene", None)
+            with pytest.raises(DataError, match="scenes s1, s2: text embeddings missing"):
+                scene_loss(model, ts, LossWeights(), vlsat=True)
+        total, _ = scene_loss(model, ts, LossWeights(), vlsat=False)
+        assert np.isfinite(total.item())
 
     def test_doubling_lambda_pred_doubles_pred_grads_exactly(self):
         rng = np.random.default_rng(5)
