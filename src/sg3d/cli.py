@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericError, Sg3dError
 from .metrics import (EvalConfig, PredictionDump, ScenePrediction, dump_from_jsonl,
                       dump_to_jsonl, evaluate, report_rows, report_to_csv)
-from .reasoning import ModelConfig, ModelState, forward_scene, prepare_scene
+from .reasoning import ModelConfig, ModelState, forward_scene, pack_scenes, prepare_scene
 from .scene import Vocabulary, load_scene_file, save_scene_file
 from .synthetic import WorldConfig, generate_dataset, manifest_to_json, provider_from_manifest
 from .training import Checkpoint, TrainConfig, train
@@ -197,18 +197,35 @@ def train_stage(samples, vocab: Vocabulary, provider, mc: ModelConfig, tc: Train
     return ck
 
 
-def _predict_scene(model: ModelState, sample) -> ScenePrediction:
-    prepared = prepare_scene(sample)
-    result = forward_scene(model, prepared, "3d")
-    return ScenePrediction(scene_id=sample.scene_id,
-                           object_probs=ad.softmax(result.obj_logits_3d, axis=1).data,
-                           predicate_probs=ad.sigmoid(result.pred_logits_3d).data,
-                           gt_objects=prepared.gt_objects,
-                           gt_predicate_rows=prepared.gt_pred_rows.astype(np.uint8))
-
-
 def predict_dump(model: ModelState, samples, vocab_hash: str, cfg_hash: str) -> PredictionDump:
-    scenes = [_predict_scene(model, s) for s in samples]
+    """3D-branch probabilities of `samples`, in list order.
+
+    Scenes of one instance count K run as one packed forward: they make a
+    full layout, so attention reshapes instead of padding, and every matmul
+    runs on two or more rows. Each scene's probabilities are then bitwise
+    those of the scene run alone. Mixed K would pad the attention, and packed
+    K=1 scenes would turn one-row products into many-row ones; either changes
+    the summation order, so a K=1 scene runs alone.
+    """
+    prepared = [prepare_scene(s) for s in samples]
+    groups: dict = {}
+    for i, p in enumerate(prepared):
+        k = p.nodes.total
+        groups.setdefault(k if k > 1 else ("alone", i), []).append(i)
+    scenes = [None] * len(prepared)
+    for members in groups.values():
+        batch = pack_scenes([prepared[i] for i in members])
+        result = forward_scene(model, batch, "3d")
+        object_probs = ad.softmax(result.obj_logits_3d, axis=1).data
+        predicate_probs = ad.sigmoid(result.pred_logits_3d).data
+        for i, node0, edge0 in zip(members, batch.nodes.starts, batch.edges.starts):
+            p = prepared[i]
+            scenes[i] = ScenePrediction(
+                scene_id=p.scene_ids[0],
+                object_probs=object_probs[node0:node0 + p.nodes.total],
+                predicate_probs=predicate_probs[edge0:edge0 + p.edges.total],
+                gt_objects=p.gt_objects,
+                gt_predicate_rows=p.gt_pred_rows.astype(np.uint8))
     return PredictionDump(scenes=scenes, n_obj=model.cfg.n_obj, n_rel=model.cfg.n_rel,
                           vocab_hash=vocab_hash, config_hash=cfg_hash)
 

@@ -100,7 +100,9 @@ class WorldConfig:
     def validate(self) -> None:
         if self.k_max < 2:
             raise ConfigError("k_max must allow at least 2 instances per scene")
-        if self.k_min < 1 or self.k_min > self.k_max:
+        if self.k_min < 2:
+            raise ConfigError(f"k_min must be at least 2 instances per scene, got {self.k_min}")
+        if self.k_min > self.k_max:
             raise ConfigError("invalid instance-count range")
         if self.zipf_exponent < 0:
             raise ConfigError("zipf exponent must be >= 0")
@@ -288,7 +290,7 @@ def _generate_geometry(cfg: WorldConfig, provider: EmbeddingProvider, split: str
                        attempt: int = 0) -> _RawScene:
     split_id = 0 if split == "train" else 1
     rng = _rng(cfg.seed, 300 + split_id, index, attempt)
-    k = max(2, int(rng.integers(cfg.k_min, cfg.k_max + 1)))
+    k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
     # mildly long-tailed class frequencies; size noise large enough that
     # object identity is genuinely ambiguous from shape statistics alone
     weights = 1.0 / (1.0 + 0.15 * np.arange(cfg.n_obj))

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sg3d.cli import build_parser, config_hash, main
-from sg3d.metrics import dump_from_jsonl
+from sg3d import cli
+from sg3d.cli import build_parser, config_hash, main, predict_dump
+from sg3d.metrics import PredictionDump, dump_from_jsonl, dump_to_jsonl
+from sg3d.reasoning import ModelConfig, ModelState
+from sg3d.scene import SceneGraphSample, SceneInstance
 from sg3d.training import Checkpoint
 
 
@@ -73,6 +76,12 @@ class TestGenerate:
     def test_infeasible_world_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, world={"k_max": 1, "k_min": 1})
         assert main(["generate", "--out", str(tmp_path / "x"), "--config", cfg]) == 2
+
+    def test_one_instance_scenes_refused(self, tmp_path):
+        # the generator draws no scene below 2 instances, so k_min 1 is refused
+        cfg = write_config(tmp_path, world={"k_min": 1, "k_max": 4})
+        assert main(["generate", "--out", str(tmp_path / "x"), "--config", cfg]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -318,6 +327,65 @@ class TestPredict:
                      "--config", cfg2]) == 0
         assert main(["predict", "--dataset", str(tmp_path / "other"), "--out", str(tmp_path / "p"),
                      "--checkpoint", str(root / "run" / "checkpoint.json")]) == 3
+
+
+def hand_scene(rng, k, scene_id, n_rel=5):
+    """A scene of k instances with random points and relations."""
+    instances = [SceneInstance(instance_id=i, gt_class=int(rng.integers(0, 6)),
+                               points=rng.standard_normal((int(rng.integers(3, 12)), 3)) * 0.4
+                               + rng.uniform(-2, 2, size=3))
+                 for i in range(k)]
+    gt = (rng.random((k, k, n_rel)) < 0.2).astype(np.uint8)
+    gt[np.arange(k), np.arange(k)] = 0
+    return SceneGraphSample(scene_id=scene_id, split="validation", instances=instances,
+                            predicate_gt=gt, visual_features=rng.standard_normal((k, 10)))
+
+
+def random_model(rng, joint):
+    model = ModelState(ModelConfig(d_vis=10, n_obj=6, n_rel=5, joint=joint))
+    for p in model.params.values():
+        p.data = rng.standard_normal(p.data.shape) * 0.3
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(ks=st.lists(st.integers(1, 9), min_size=1, max_size=10), joint=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@example(ks=[3, 7, 3, 2, 7, 9, 2, 3], joint=False, seed=1)
+@example(ks=[4, 6, 4, 6, 4, 6], joint=True, seed=2)
+@example(ks=[1, 1, 1], joint=False, seed=3)
+@example(ks=[1, 5, 1, 5, 1], joint=True, seed=4)
+def test_prediction_is_batch_invariant(ks, joint, seed):
+    # the dump of the scenes predicted together is, byte for byte, the dump
+    # of each scene predicted alone, in the input order
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, joint)
+    samples = [hand_scene(rng, k, f"scene{i}") for i, k in enumerate(ks)]
+    together = predict_dump(model, samples, "v", "c")
+    alone = PredictionDump(scenes=[predict_dump(model, [s], "v", "c").scenes[0] for s in samples],
+                           n_obj=6, n_rel=5, vocab_hash="v", config_hash="c")
+    assert [s.scene_id for s in together.scenes] == [s.scene_id for s in samples]
+    assert dump_to_jsonl(together) == dump_to_jsonl(alone)
+
+
+def test_prediction_runs_one_forward_per_instance_count(monkeypatch):
+    # scenes of one K > 1 share a forward; each K=1 scene runs alone
+    calls = []
+    forward = cli.forward_scene
+
+    def counting(model, scene, mode="joint"):
+        calls.append(list(scene.scene_ids))
+        return forward(model, scene, mode)
+
+    monkeypatch.setattr(cli, "forward_scene", counting)
+    rng = np.random.default_rng(5)
+    ks = [3, 1, 5, 3, 1, 5, 5]
+    samples = [hand_scene(rng, k, f"scene{i}") for i, k in enumerate(ks)]
+    dump = predict_dump(random_model(rng, False), samples, "", "")
+    assert len(calls) == 4
+    assert sorted(calls) == [["scene0", "scene3"], ["scene1"], ["scene2", "scene5", "scene6"],
+                             ["scene4"]]
+    assert [s.scene_id for s in dump.scenes] == [s.scene_id for s in samples]
 
 
 def _grow_first_param(payload):
