@@ -1,9 +1,10 @@
 """Dense float64 tensors with taped reverse-mode automatic differentiation.
 
-The engine is deliberately small: 2-D matmul, elementwise arithmetic with
-numpy-style broadcasting, the activations and reductions the model needs,
-softmax / log-softmax with exact Jacobian-vector products, concatenation,
-row gathering and layer norm. Fused ops carry the model's hot paths:
+The engine holds only the ops the model, its losses and prediction run:
+2-D matmul, elementwise arithmetic with numpy-style broadcasting, the
+activations and reductions the model needs, softmax / log-softmax with
+exact Jacobian-vector products, concatenation and row gathering. Fused ops
+carry the model's hot paths:
 
 - `attention(q, k, v, heads, mask, layout=...)`: every head of a
   multi-head scaled dot-product attention in one op, within each segment
@@ -66,10 +67,6 @@ class Tape:
             if out.grad is not None:
                 backward(out.grad)
         self.records.clear()
-
-
-def active_tape() -> "Tape | None":
-    return _TAPE
 
 
 class Tensor:
@@ -350,27 +347,6 @@ def sigmoid(a) -> Tensor:
     return _from_op(s, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    e = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * e)
-
-    return _from_op(e, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(a.data)
-    return _from_op(out, (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(invalid="ignore"):
@@ -409,55 +385,32 @@ def softplus(a) -> Tensor:
 # reductions
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
+        gg = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
 
-    return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _from_op(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg / n, a.data.shape).copy())
+        gg = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(gg / n, a.data.shape).copy())
 
-    return _from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def amax(a, axis: int, keepdims: bool = False) -> Tensor:
-    """Max over one axis; gradient routes to the first argmax per slice."""
-    a = as_tensor(a)
-    idx = np.argmax(a.data, axis=axis)
-    out = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, np.expand_dims(idx, axis), gg, axis=axis)
-        _accumulate(a, ga)
-
-    return _from_op(out, (a,), backward)
+    return _from_op(a.data.mean(axis=axis), (a,), backward)
 
 
 def segment_max(x, rows: Segments) -> Tensor:
     """Max over each segment's rows of a 2-D tensor, as (count, columns).
 
     Every segment needs a row. The gradient routes to the first argmax per
-    segment and column, like `amax`.
+    segment and column.
     """
     x = as_tensor(x)
     if x.data.ndim != 2:
@@ -638,42 +591,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _from_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.data.shape
-
-    def backward(g):
-        _accumulate(a, g.reshape(old))
-
-    return _from_op(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError("transpose expects a 2-D tensor")
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return _from_op(a.data.T.copy(), (a,), backward)
-
-
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    a = as_tensor(a)
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[sl] = g
-        _accumulate(a, ga)
-
-    return _from_op(a.data[sl].copy(), (a,), backward)
-
-
 def gather_rows(a, indices) -> Tensor:
     """out[r] = a[indices[r]]; duplicate indices accumulate on backward."""
     a = as_tensor(a)
@@ -711,11 +628,3 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b with b broadcast over rows."""
     return add(matmul(x, w), b)
 
-
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(normed, gamma), beta)

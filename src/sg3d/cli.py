@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .errors import ConfigError, DataError, NumericError, Sg3dError
 from .metrics import (EvalConfig, PredictionDump, ScenePrediction, dump_from_jsonl,
                       dump_to_jsonl, evaluate, report_rows, report_to_csv)
 from .reasoning import ModelConfig, ModelState, forward_scene, pack_scenes, prepare_scene
-from .scene import Vocabulary, load_scene_file, save_scene_file
+from .scene import Vocabulary, fits_type, load_scene_file, save_scene_file
 from .synthetic import WorldConfig, generate_dataset, manifest_to_json, provider_from_manifest
 from .training import Checkpoint, TrainConfig, train
 
@@ -50,6 +51,12 @@ def _build_dataclass(cls, values: dict, where: str):
     unknown = set(values) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        hint = hints[key]
+        if not fits_type(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{where}: {key} must be of type {name}, got {value!r}")
     return cls(**values)
 
 
@@ -63,9 +70,15 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
     unknown = set(cfg) - {"world", "model", "train", "eval", "experiment"}
     if unknown:
         raise ConfigError(f"config file {path}: unknown sections {sorted(unknown)}")
+    for section, values in cfg.items():
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {path}: section {section!r} must be a JSON object, "
+                              f"got {type(values).__name__}")
     return cfg
 
 
@@ -369,6 +382,8 @@ def cmd_experiment(args) -> int:
     if unknown:
         raise ConfigError(f"experiment config: unknown keys {sorted(unknown)}")
     seeds = exp.get("seeds", [7, 11, 23])
+    if not fits_type(seeds, list[int]):
+        raise ConfigError(f"experiment config: seeds must be a list of integers, got {seeds!r}")
     if args.seed is not None:
         seeds = [args.seed]
     out = Path(args.out)

@@ -82,6 +82,20 @@ def _gnn_params(rng, d) -> dict[str, Tensor]:
     }
 
 
+def _reasoning_params(rng, d, layers) -> dict:
+    return {f"layer{i}": {"mhsa": _attention_params(rng, d), "gnn": _gnn_params(rng, d)}
+            for i in range(layers)}
+
+
+def _head_params(rng, d, n_obj, n_rel) -> dict[str, Tensor]:
+    return {
+        "obj_w": Tensor(glorot(rng, d, n_obj), requires_grad=True),
+        "obj_b": Tensor(np.zeros(n_obj), requires_grad=True),
+        "pred_w": Tensor(glorot(rng, 3 * d, n_rel), requires_grad=True),
+        "pred_b": Tensor(np.zeros(n_rel), requires_grad=True),
+    }
+
+
 def _flatten(tree: dict, prefix: str, out: dict[str, Tensor]) -> None:
     for key, value in tree.items():
         name = f"{prefix}.{key}" if prefix else key
@@ -104,29 +118,13 @@ class ModelState:
                 "point": encoders.init_point_mlp(rng, h, d),
                 "edge": encoders.init_edge_mlp(rng, h, d),
             },
-            "reason3d": {
-                f"layer{i}": {"mhsa": _attention_params(rng, d), "gnn": _gnn_params(rng, d)}
-                for i in range(cfg.layers)
-            },
-            "head3d": {
-                "obj_w": Tensor(glorot(rng, d, cfg.n_obj), requires_grad=True),
-                "obj_b": Tensor(np.zeros(cfg.n_obj), requires_grad=True),
-                "pred_w": Tensor(glorot(rng, 3 * d, cfg.n_rel), requires_grad=True),
-                "pred_b": Tensor(np.zeros(cfg.n_rel), requires_grad=True),
-            },
+            "reason3d": _reasoning_params(rng, d, cfg.layers),
+            "head3d": _head_params(rng, d, cfg.n_obj, cfg.n_rel),
         }
         if cfg.joint:
             tree["enc_oracle"] = {"proj": encoders.init_visual_proj(rng, cfg.d_vis, d)}
-            tree["reason_oracle"] = {
-                f"layer{i}": {"mhsa": _attention_params(rng, d), "gnn": _gnn_params(rng, d)}
-                for i in range(cfg.layers)
-            }
-            tree["head_oracle"] = {
-                "obj_w": Tensor(glorot(rng, d, cfg.n_obj), requires_grad=True),
-                "obj_b": Tensor(np.zeros(cfg.n_obj), requires_grad=True),
-                "pred_w": Tensor(glorot(rng, 3 * d, cfg.n_rel), requires_grad=True),
-                "pred_b": Tensor(np.zeros(cfg.n_rel), requires_grad=True),
-            }
+            tree["reason_oracle"] = _reasoning_params(rng, d, cfg.layers)
+            tree["head_oracle"] = _head_params(rng, d, cfg.n_obj, cfg.n_rel)
             tree["collab"] = {
                 f"layer{i}": {"node": _attention_params(rng, d), "edge": _attention_params(rng, d)}
                 for i in range(cfg.layers)
@@ -226,6 +224,11 @@ def distance_mask(attrs: list[InstanceAttributes], params: dict[str, Tensor],
     return ad.linear(h, params["w2"], params["b2"])
 
 
+def _triplet_features(nodes: Tensor, edges: Tensor, subj, obj) -> Tensor:
+    """cat(n_i, e_ij, n_j) for every edge row."""
+    return ad.concat([ad.gather_rows(nodes, subj), edges, ad.gather_rows(nodes, obj)], axis=1)
+
+
 def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
                   subj: np.ndarray, obj: np.ndarray, out_edges: Segments) -> GraphState:
     """Gated node/edge message passing in residual form.
@@ -236,10 +239,7 @@ def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
     rows, contiguous in the canonical pair order; a node without edges
     (a one-instance scene) pools 0.
     """
-    n_i = ad.gather_rows(state.nodes, subj)
-    n_j = ad.gather_rows(state.nodes, obj)
-    cat = ad.concat([n_i, state.edges, n_j], axis=1)
-    m = ad.matmul(cat, params["w_m"])
+    m = ad.matmul(_triplet_features(state.nodes, state.edges, subj, obj), params["w_m"])
     gate = ad.sigmoid(ad.matmul(m, params["w_g"]))
     gm = ad.mul(gate, m)
     edges = ad.add(state.edges, ad.matmul(gm, params["w_e"]))
@@ -331,10 +331,6 @@ class ForwardResult:
     pred_logits_oracle: Tensor | None = None
     nodes0_oracle: Tensor | None = None
     fused_triplets: Tensor | None = None
-
-
-def _triplet_features(nodes: Tensor, edges: Tensor, subj, obj) -> Tensor:
-    return ad.concat([ad.gather_rows(nodes, subj), edges, ad.gather_rows(nodes, obj)], axis=1)
 
 
 def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") -> ForwardResult:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import logging
+import types
+import typing
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -164,9 +166,24 @@ def _check_fields(obj: dict, allowed: set, where: str, strict: bool) -> None:
         log.warning("%s: ignoring unknown fields %s", where, sorted(unknown))
 
 
+def fits_type(value, hint) -> bool:
+    """Whether a JSON value fits the type `hint` (`int`, `float`, `bool`,
+    `str`, `list`, `tuple`, `list[int]`, `int | None`, ...): a bool is not an
+    integer, an integer stands for a float, and None fits only a hint that
+    names it."""
+    if isinstance(hint, types.UnionType):
+        return any(fits_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(fits_type(v, item) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
 def _typed(value, kind: type, what: str, where: str):
-    """`value` when it has JSON type `kind` (a bool is not an integer)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
+    """`value` when it has JSON type `kind` (see `fits_type`)."""
+    if not fits_type(value, kind):
         raise DataError(f"{where}: {what} must be of type {kind.__name__}, got {type(value).__name__}")
     return value
 

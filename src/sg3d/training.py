@@ -35,7 +35,7 @@ from .autodiff import Segments, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
 from .reasoning import (ForwardResult, ModelConfig, ModelState, PreparedScene, forward_scene,
                         pack_scenes, prepare_scene)
-from .scene import SceneGraphSample, Vocabulary, relation_terms
+from .scene import SceneGraphSample, Vocabulary, fits_type, relation_terms
 from .synthetic import EmbeddingProvider
 
 
@@ -448,6 +448,10 @@ class Checkpoint:
     """Serializable snapshot: parameters, optimizer state, epoch, config."""
 
     FORMAT_VERSION = 1
+    # the JSON type of every section `restore` and the CLI read
+    SECTIONS = {"model_config": dict, "train_config": dict, "params": dict, "optimizer": dict,
+                "next_epoch": int, "vocab_hash": str}
+    OPTIMIZER_SECTIONS = {"step": int, "m": dict, "v": dict}
 
     def __init__(self, payload: dict):
         self.payload = payload
@@ -509,6 +513,12 @@ class Checkpoint:
             raise DataError(f"{path}: unsupported checkpoint version")
         if payload.get("content_hash") != cls._hash(payload):
             raise DataError(f"{path}: checkpoint content hash mismatch")
+        bad = [k for k, kind in cls.SECTIONS.items() if not fits_type(payload.get(k), kind)]
+        if not bad:
+            bad = [f"optimizer.{k}" for k, kind in cls.OPTIMIZER_SECTIONS.items()
+                   if not fits_type(payload["optimizer"].get(k), kind)]
+        if bad:
+            raise DataError(f"{path}: checkpoint sections missing or of the wrong type: {bad}")
         return cls(payload)
 
     @property

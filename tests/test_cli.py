@@ -405,6 +405,13 @@ BAD_CHECKPOINTS = [
     ("moment-missing-name", lambda p: p["optimizer"]["m"].pop(sorted(p["optimizer"]["m"])[0])),
     ("blob-shape-mismatch", _grow_first_param),
     ("moment-blob-flattened", _flatten_a_matrix_moment),
+    ("header-only", lambda p: [p.pop(k) for k in list(p)
+                               if k not in ("kind", "format_version", "vocab_hash")]),
+    ("params-missing", lambda p: p.pop("params")),
+    ("optimizer-missing", lambda p: p.pop("optimizer")),
+    ("optimizer-step-missing", lambda p: p["optimizer"].pop("step")),
+    ("next-epoch-float", lambda p: p.update(next_epoch=3.0)),
+    ("vocab-hash-missing", lambda p: p.pop("vocab_hash")),
 ]
 
 
@@ -645,6 +652,48 @@ def test_bad_eval_config_exit_code(workspace, tmp_path, section, k_list):
         argv += ["--k-list", k_list]
     assert main(argv) == 2
     assert not (tmp_path / "ev" / "report.json").exists()
+
+
+# (id, command, config file text): each must exit 2 before writing anything
+BAD_CONFIG_FILES = [
+    ("top-level-list", "generate", "[]"), ("top-level-number", "generate", "5"),
+    ("top-level-list", "train", "[]"),
+    ("world-not-object", "generate", '{"world": 5}'),
+    ("train-not-object", "train", '{"train": 5}'),
+    ("eval-not-object", "train", '{"eval": []}'),
+    ("k_min-string", "generate", '{"world": {"k_min": "a"}}'),
+    ("n_views-bool", "generate", '{"world": {"n_views": true}}'),
+    ("zipf-null", "generate", '{"world": {"zipf_exponent": null}}'),
+    ("semantic-predicates-floats", "generate", '{"world": {"semantic_predicates": [12.0]}}'),
+    ("epochs-string", "train", '{"train": {"epochs": "3"}}'),
+    ("base_lr-string", "train", '{"train": {"base_lr": "0.1"}}'),
+    ("vlsat-int", "train", '{"train": {"vlsat": 1}}'),
+    ("heads-string", "train", '{"model": {"heads": "4"}}'),
+    ("seeds-string", "experiment", '{"experiment": {"seeds": "7"}}'),
+]
+
+
+@pytest.mark.parametrize("command,text", [b[1:] for b in BAD_CONFIG_FILES],
+                         ids=[f"{b[1]}-{b[0]}" for b in BAD_CONFIG_FILES])
+def test_malformed_config_file_exit_code(workspace, tmp_path, command, text):
+    root, _ = workspace
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--config", str(cfg)]
+    if command == "train":
+        argv += ["--dataset", str(root / "ds")]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_config_int_stands_for_float(tmp_path):
+    # the JSON type rule of scene files: an integer fits a float field, None
+    # an optional one
+    cfg = write_config(tmp_path, train={"base_lr": 1, "init_classifiers_from_embeddings": None})
+    tc = cli.train_config(cli.load_config(cfg), build_parser().parse_args(
+        ["train", "--out", "o", "--dataset", "d"]))
+    assert tc.base_lr == 1 and tc.init_classifiers_from_embeddings is None
 
 
 # flags a subcommand does not read; argparse must refuse each of them

@@ -14,6 +14,7 @@ from sg3d.scene import (InstanceAttributes, SceneInstance, compute_attributes, o
                         pair_index_arrays)
 
 from gradcheck import analytic_grads, check_params
+from reference_ops import amax
 from test_reasoning import make_sample
 
 
@@ -76,7 +77,7 @@ def per_instance_encoder(points, instances, params):
     for start, n in zip(instances.starts, instances.lengths):
         h = ad.relu(ad.linear(Tensor(points[start:start + n]), params["w1"], params["b1"]))
         h = ad.relu(ad.linear(h, params["w2"], params["b2"]))
-        pooled.append(ad.amax(h, axis=0, keepdims=True))
+        pooled.append(amax(h, axis=0, keepdims=True))
     return ad.linear(ad.concat(pooled, axis=0), params["w3"], params["b3"])
 
 

@@ -12,6 +12,7 @@ from sg3d.scene import (SceneGraphSample, SceneInstance, compute_attributes,
                         ordered_pairs, pair_index_arrays)
 
 from gradcheck import analytic_grads, check_directional, check_params
+from reference_ops import narrow, reshape, transpose
 
 
 def small_model(joint=True, k_seed=0, **kw):
@@ -51,14 +52,14 @@ def per_head_attention(query_stream, kv_stream, params, n_heads, mask=None, coll
     n, d = query_stream.data.shape
     dh = d // n_heads
     if mask is not None:
-        mask = ad.reshape(mask, (n, n))
+        mask = reshape(mask, (n, n))
     q = ad.linear(query_stream, params["wq"], params["bq"])
     k = ad.linear(kv_stream, params["wk"], params["bk"])
     v = ad.linear(kv_stream, params["wv"], params["bv"])
     outs = []
     for h in range(n_heads):
-        qh, kh, vh = (ad.narrow(x, 1, h * dh, dh) for x in (q, k, v))
-        logits = ad.mul(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
+        qh, kh, vh = (narrow(x, 1, h * dh, dh) for x in (q, k, v))
+        logits = ad.mul(ad.matmul(qh, transpose(kh)), 1.0 / np.sqrt(dh))
         if mask is not None:
             logits = ad.add(logits, mask)
         attn = ad.softmax(logits, axis=1)

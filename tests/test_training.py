@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import asdict
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sg3d import autodiff as ad
 from sg3d import encoders, reasoning, training
 from sg3d.autodiff import Tape, Tensor
+from sg3d.cli import predict_dump
 from sg3d.errors import ConfigError, DataError, NumericError
 from sg3d.reasoning import ModelConfig, ModelState, forward_scene
 from sg3d.synthetic import EmbeddingProvider, WorldConfig, generate_dataset, provider_from_manifest
@@ -576,6 +578,41 @@ def test_tape_ops_per_scene_guard():
 
 
 BATCH_EXTRA_OPS = 2
+
+# public names of sg3d.autodiff that are not taped ops
+AUTODIFF_NON_OPS = {"Tensor", "Tape", "Segments", "as_tensor", "PAD_BIAS"}
+
+
+def test_every_autodiff_op_runs_in_the_model(monkeypatch):
+    # the engine ships only what training and prediction call: a joint and a
+    # 3D-only loss with its backward on a packed batch, then one prediction
+    public = {name for name, value in vars(ad).items()
+              if not name.startswith("_") and not inspect.ismodule(value)
+              and getattr(value, "__module__", ad.__name__) == ad.__name__}
+    assert AUTODIFF_NON_OPS <= public
+    ops = public - AUTODIFF_NON_OPS
+    calls = dict.fromkeys(ops, 0)
+
+    def counting(name, op):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return op(*args, **kwargs)
+        return run
+
+    for name in ops:
+        assert inspect.isfunction(getattr(ad, name)), name
+        monkeypatch.setattr(ad, name, counting(name, getattr(ad, name)))
+    rng = np.random.default_rng(43)
+    model = ModelState(ModelConfig(joint=True))
+    samples = [make_sample(rng, k=k, n_rel=13, d_vis=34) for k in (1, 3, 3, 5)]
+    batch = pack_train_scenes([build_train_scene(s, EmbeddingProvider(0, 16, 13, 32))
+                               for s in samples])
+    for vlsat in (True, False):
+        with Tape() as tape:
+            total, _ = scene_loss(model, batch, LossWeights(), vlsat)
+            tape.backward(total)
+    predict_dump(model, samples, "", "")
+    assert sorted(name for name, n in calls.items() if n == 0) == []
 
 
 def batch_scene(rng, k, relations):
