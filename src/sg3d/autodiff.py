@@ -6,12 +6,12 @@ activations and reductions the model needs, softmax / log-softmax with
 exact Jacobian-vector products, concatenation and row gathering. Fused ops
 carry the model's hot paths:
 
-- `attention(q, k, v, heads, mask, layout=...)`: every head of a
-  multi-head scaled dot-product attention in one op, within each segment
-  (scene) of a `Segments` row layout, with a hand-written softmax
-  backward. One scene is a layout of one segment; a layout whose segments
-  are equally long is padded and unpadded by reshapes, without copies;
-  zero rows (the edges of a one-instance scene) give zero rows;
+- `attention(q, k, v, heads, layout, mask)`: every head of a multi-head
+  scaled dot-product attention in one op, within each segment (scene) of
+  a `Segments` row layout, with a hand-written softmax backward. A layout
+  whose segments are equally long (one scene, or a group of scenes of one
+  size) is padded and unpadded by reshapes, without copies; zero rows (the
+  edges of a one-instance scene) give zero rows;
 - `segment_max(x, rows)` and `segment_mean(x, rows)`: one `reduceat` over
   the segments of a `Segments` layout (points per instance, out-edges per
   node, rows per scene), so a segment's result and gradient do not depend
@@ -135,16 +135,15 @@ def _from_op(data: np.ndarray, inputs: tuple, backward) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes introduced or expanded by broadcasting."""
+    """Sum gradient over the leading axes broadcasting put in front of an
+    operand: a (D,) bias over (N, D) rows, a (1,) bias over a (P, 1) column,
+    a scalar. The model broadcasts no size-1 axis, so none is summed."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    if g.shape != shape:
+        raise DimensionError(f"a {shape} operand was broadcast along a size-1 axis to {g.shape}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +394,12 @@ def tsum(a, axis=None) -> Tensor:
     return _from_op(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a, axis=None) -> Tensor:
+def tmean(a, axis: int) -> Tensor:
     a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
+    n = a.data.shape[axis]
 
     def backward(g):
-        gg = g if axis is None else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg / n, a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape).copy())
 
     return _from_op(a.data.mean(axis=axis), (a,), backward)
 
@@ -431,9 +429,9 @@ def segment_max(x, rows: Segments) -> Tensor:
     return _from_op(out, (x,), backward)
 
 
-def segment_mean(x, rows: Segments | None = None) -> Tensor:
+def segment_mean(x, rows: Segments) -> Tensor:
     """Mean of each segment's rows, as (count, *x.shape[1:]); 0 for an empty
-    segment. Without `rows`, all rows form one segment.
+    segment.
 
     One `np.add.reduceat` over the non-empty segments sums each segment's
     rows on their own, so its mean and gradient are bitwise those of the
@@ -443,7 +441,6 @@ def segment_mean(x, rows: Segments | None = None) -> Tensor:
     if x.data.ndim == 0:
         raise DimensionError("segment_mean needs rows, got a scalar")
     n = x.data.shape[0]
-    rows = Segments([n]) if rows is None else rows
     if n != rows.total:
         raise DimensionError(f"segment_mean of {n} rows over a {rows.total}-row layout")
     sizes = np.maximum(rows.lengths, 1).reshape((rows.count,) + (1,) * (x.data.ndim - 1))
@@ -461,7 +458,7 @@ def segment_mean(x, rows: Segments | None = None) -> Tensor:
 # softmax family
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a, axis: int) -> Tensor:
     """Numerically stabilized softmax with the exact Jacobian-vector product."""
     a = as_tensor(a)
     x = a.data
@@ -477,7 +474,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _from_op(y, (a,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a, axis: int) -> Tensor:
     a = as_tensor(a)
     x = a.data
     z = x - x.max(axis=axis, keepdims=True, initial=-np.inf)
@@ -491,26 +488,23 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = None,
-              layout: Segments | None = None) -> Tensor:
+def attention(q, k, v, heads: int, layout: Segments, mask=None) -> Tensor:
     """Multi-head scaled dot-product attention as one op, within each segment
     of a row layout.
 
-    q, k and v are (N, D) rows of one shape that share `layout`; without
-    one, all N rows form a single segment. Each row attends only to the
-    rows of its own segment. The D columns split into `heads` contiguous
-    blocks of width dh, with logits q k^T / sqrt(dh) per block. Every call
-    pads the segments to the longest one, runs one (count, H, longest, dh)
-    computation with PAD_BIAS added to the logits of padded keys, and
-    unpads; a full layout (one segment, or equally long ones) is reshaped,
-    not copied. Zero rows give a (0, D) output.
+    q, k and v are (N, D) rows of one shape that share `layout`. Each row
+    attends only to the rows of its own segment. The D columns split into
+    `heads` contiguous blocks of width dh, with logits q k^T / sqrt(dh) per
+    block. Every call pads the segments to the longest one, runs one
+    (count, H, longest, dh) computation with PAD_BIAS added to the logits of
+    padded keys, and unpads; a full layout (one segment, or equally long
+    ones) is reshaped, not copied. Zero rows give a (0, D) output.
 
     The mask, when given, holds one value per ordered row pair of each
     segment, in `layout.pairs` order (any shape with that many entries, so
     one segment takes an (N, N) mask as is), and is added to every head's
     logits before the softmax. Returns the heads' outputs side by side,
-    (N, D). `collect_weights` gets one constant (n, n) Tensor per segment
-    and head, segment-major.
+    (N, D).
 
     The backward is the softmax JVP of `softmax`, applied to every head at
     once (the FlashAttention backward without the tiling).
@@ -522,7 +516,6 @@ def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = Non
     n, d = q.data.shape
     if heads < 1 or d % heads != 0:
         raise DimensionError(f"heads ({heads}) must divide feature width ({d})")
-    layout = Segments([n]) if layout is None else layout
     if n != layout.total:
         raise DimensionError(f"a layout of {layout.total} rows cannot hold {n} rows")
     count, longest, dh = layout.count, layout.longest, d // heads
@@ -553,9 +546,6 @@ def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = Non
     z = logits - logits.max(axis=-1, keepdims=True, initial=-np.inf)
     e = np.exp(z)
     w = e / e.sum(axis=-1, keepdims=True)
-    if collect_weights is not None:
-        collect_weights.extend(Tensor(w[b, h, :size, :size]) for b, size in enumerate(layout.lengths)
-                               for h in range(heads))
 
     def backward(g):
         gh = split(g)
@@ -577,7 +567,7 @@ def attention(q, k, v, heads: int, mask=None, collect_weights: list | None = Non
 # shape ops
 
 
-def concat(parts, axis: int = 0) -> Tensor:
+def concat(parts, axis: int) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)

@@ -158,11 +158,30 @@ def _read_json(path: Path, what: str):
         raise DataError(f"{what} {path} is not valid JSON: {e}") from e
 
 
+# the JSON type of every manifest field that train and predict read
+MANIFEST_FIELDS = {"object_names": list[str], "predicate_names": list[str],
+                   "predicate_train_frequency": list[int], "vocab_hash": str, "world_config": dict}
+
+
 def read_manifest(dataset_dir: Path) -> dict:
+    """The dataset manifest, whose `world_config` names exactly the
+    `WorldConfig` fields; a field missing or of the wrong JSON type (see
+    `fits_type`) is a data error."""
     path = dataset_dir / "manifest.json"
     if not path.exists():
         raise DataError(f"dataset manifest not found: {path}")
-    return _read_json(path, "dataset manifest")
+    manifest = _read_json(path, "dataset manifest")
+    if not isinstance(manifest, dict):
+        raise DataError(f"dataset manifest {path} must hold a JSON object, "
+                        f"got {type(manifest).__name__}")
+    bad = [k for k, kind in MANIFEST_FIELDS.items() if not fits_type(manifest.get(k), kind)]
+    if not bad:
+        wc, hints = manifest["world_config"], typing.get_type_hints(WorldConfig)
+        bad = [f"world_config.{k}" for k in sorted(set(wc) | set(hints))
+               if k not in hints or k not in wc or not fits_type(wc[k], hints[k])]
+    if bad:
+        raise DataError(f"dataset manifest {path}: fields missing or of the wrong type: {bad}")
+    return manifest
 
 
 def read_dataset(dataset_dir: Path, strict: bool = True, splits=("train", "validation")):

@@ -162,50 +162,40 @@ class ModelState:
 
 
 def multi_head_attention(query_stream: Tensor, kv_stream: Tensor, params: dict[str, Tensor],
-                         n_heads: int, mask: Tensor | None = None,
-                         collect_weights: list | None = None,
-                         layout: Segments | None = None) -> Tensor:
+                         n_heads: int, layout: Segments, mask: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention with residual add into the query stream.
 
-    The mask, when given, is added to the pre-softmax logits of every head.
-    With a layout, both streams are packed rows of that layout and each
-    row attends within its own scene (see `autodiff.attention`).
+    Both streams are packed rows of `layout`, and each row attends within
+    its own scene (see `autodiff.attention`). The mask, when given, is
+    added to the pre-softmax logits of every head.
     """
     q = ad.linear(query_stream, params["wq"], params["bq"])
     k = ad.linear(kv_stream, params["wk"], params["bk"])
     v = ad.linear(kv_stream, params["wv"], params["bv"])
-    merged = ad.attention(q, k, v, n_heads, mask=mask, collect_weights=collect_weights,
-                          layout=layout)
+    merged = ad.attention(q, k, v, n_heads, layout, mask)
     return ad.add(query_stream, ad.linear(merged, params["wo"], params["bo"]))
 
 
-def mhsa(nodes: Tensor, params: dict[str, Tensor], n_heads: int,
-         layout: Segments | None = None) -> Tensor:
-    return multi_head_attention(nodes, nodes, params, n_heads, layout=layout)
+def mhsa(nodes: Tensor, params: dict[str, Tensor], n_heads: int, layout: Segments) -> Tensor:
+    return multi_head_attention(nodes, nodes, params, n_heads, layout)
 
 
 def mhca_node(oracle_nodes: Tensor, threed_nodes: Tensor, mask: Tensor,
-              params: dict[str, Tensor], n_heads: int,
-              collect_weights: list | None = None, layout: Segments | None = None) -> Tensor:
+              params: dict[str, Tensor], n_heads: int, layout: Segments) -> Tensor:
     """Oracle nodes query the 3D nodes; additive distance mask on the logits."""
-    return multi_head_attention(oracle_nodes, threed_nodes, params, n_heads,
-                                mask=mask, collect_weights=collect_weights, layout=layout)
+    return multi_head_attention(oracle_nodes, threed_nodes, params, n_heads, layout, mask)
 
 
 def mhca_edge(oracle_edges: Tensor, threed_edges: Tensor, params: dict[str, Tensor],
-              n_heads: int, collect_weights: list | None = None,
-              layout: Segments | None = None) -> Tensor:
+              n_heads: int, layout: Segments) -> Tensor:
     """Oracle edges query the 3D edges over all ordered pairs, no mask."""
-    return multi_head_attention(oracle_edges, threed_edges, params, n_heads,
-                                collect_weights=collect_weights, layout=layout)
+    return multi_head_attention(oracle_edges, threed_edges, params, n_heads, layout)
 
 
-def mask_input_matrix(attrs: list[InstanceAttributes], layout: Segments | None = None) -> np.ndarray:
+def mask_input_matrix(attrs: list[InstanceAttributes], layout: Segments) -> np.ndarray:
     """Rows cat(mu_i - mu_j, ||mu_i - mu_j||), 4 wide, for every ordered pair
     (i, j) of instances in the same scene, diagonal included, in
-    `layout.pairs` order. Without a layout all instances form one scene:
-    K*K rows, row-major in (i, j)."""
-    layout = Segments([len(attrs)]) if layout is None else layout
+    `layout.pairs` order: scene by scene, row-major in (i, j)."""
     seg, i, j = layout.pairs
     mus = np.stack([a.mean for a in attrs])
     diff = mus[layout.starts[seg] + i] - mus[layout.starts[seg] + j]
@@ -214,10 +204,10 @@ def mask_input_matrix(attrs: list[InstanceAttributes], layout: Segments | None =
 
 
 def distance_mask(attrs: list[InstanceAttributes], params: dict[str, Tensor],
-                  layout: Segments | None = None) -> Tensor:
+                  layout: Segments) -> Tensor:
     """Learned scalar mask per ordered pair of instances in the same scene:
-    a (P, 1) column, one value per pair in `layout.pairs` order (without a
-    layout, the K*K pairs of one scene, row-major), as `attention` reads it.
+    a (P, 1) column, one value per pair in `layout.pairs` order, as
+    `attention` reads it.
     """
     x = Tensor(mask_input_matrix(attrs, layout))
     h = ad.relu(ad.linear(x, params["w1"], params["b1"]))
@@ -371,7 +361,7 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
         if joint:
             collab = model.subtree("collab", f"layer{layer}")
             state_or.nodes = mhca_node(state_or.nodes, state_3d.nodes, mask, collab["node"],
-                                       cfg.heads, layout=scene.nodes)
+                                       cfg.heads, scene.nodes)
 
         r3d = model.subtree("reason3d", f"layer{layer}")
         state_3d.nodes = mhsa(state_3d.nodes, r3d["mhsa"], cfg.heads, scene.nodes)
@@ -382,7 +372,7 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
             state_or.nodes = mhsa(state_or.nodes, ror["mhsa"], cfg.heads, scene.nodes)
             state_or = fat_gnn_layer(state_or, ror["gnn"], scene.subj, scene.obj, scene.out_edges)
             state_or.edges = mhca_edge(state_or.edges, state_3d.edges, collab["edge"],
-                                       cfg.heads, layout=scene.edges)
+                                       cfg.heads, scene.edges)
 
     head3d = model.subtree("head3d")
     obj_logits_3d = ad.linear(state_3d.nodes, head3d["obj_w"], head3d["obj_b"])

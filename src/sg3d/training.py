@@ -55,10 +55,10 @@ class LossWeights:
 # loss terms
 #
 # Each term is one mean per scene: `rows` gives the scenes' rows of a packed
-# batch (None: the rows are one scene), and the result is a (scenes,) vector.
+# batch, and the result is a (scenes,) vector.
 
 
-def loss_obj(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> Tensor:
+def loss_obj(logits: Tensor, gt: np.ndarray, rows: Segments) -> Tensor:
     """Mean softmax cross-entropy over instances."""
     gt = np.asarray(gt, dtype=np.intp)
     if gt.min() < 0 or gt.max() >= logits.data.shape[1]:
@@ -67,7 +67,7 @@ def loss_obj(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> Te
     return ad.neg(ad.segment_mean(ad.take_per_row(ls, gt), rows))
 
 
-def loss_pred(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> Tensor:
+def loss_pred(logits: Tensor, gt: np.ndarray, rows: Segments) -> Tensor:
     """Mean binary cross-entropy with logits over all pairs and classes.
 
     All ordered pairs participate; pairs without any ground-truth
@@ -82,8 +82,7 @@ def loss_pred(logits: Tensor, gt: np.ndarray, rows: Segments | None = None) -> T
     return ad.segment_mean(ad.tmean(bce, axis=1), rows)
 
 
-def loss_tri_emb(fused_rows: Tensor, text_rows: np.ndarray,
-                 rows: Segments | None = None) -> Tensor:
+def loss_tri_emb(fused_rows: Tensor, text_rows: np.ndarray, rows: Segments) -> Tensor:
     """Mean-per-dimension L1 distance, averaged over ground-truth terms.
 
     Callers pass one fused row per (pair, gt-predicate) term, duplicating
@@ -94,13 +93,13 @@ def loss_tri_emb(fused_rows: Tensor, text_rows: np.ndarray,
     return ad.segment_mean(ad.tmean(l1, axis=1), rows)
 
 
-def loss_node_init(threed_nodes: Tensor, oracle_nodes: Tensor, eps: float = 1e-12,
-                   rows: Segments | None = None) -> Tensor:
-    """Mean negative cosine between aligned pre-reasoning node features."""
+def loss_node_init(threed_nodes: Tensor, oracle_nodes: Tensor, rows: Segments) -> Tensor:
+    """Mean negative cosine between aligned pre-reasoning node features;
+    1e-12 added to the norm product keeps a zero row finite."""
     dot = ad.tsum(ad.mul(threed_nodes, oracle_nodes), axis=1)
     na = ad.sqrt(ad.tsum(ad.mul(threed_nodes, threed_nodes), axis=1))
     nb = ad.sqrt(ad.tsum(ad.mul(oracle_nodes, oracle_nodes), axis=1))
-    cos = ad.div(dot, ad.add(ad.mul(na, nb), eps))
+    cos = ad.div(dot, ad.add(ad.mul(na, nb), 1e-12))
     return ad.neg(ad.segment_mean(cos, rows))
 
 
@@ -282,7 +281,7 @@ def scene_loss(model: ModelState, ts: TrainScene, weights: LossWeights,
         parts.pred_oracle = loss_pred(result.pred_logits_oracle, p.gt_pred_rows, p.edges)
         fused = ad.gather_rows(result.fused_triplets, ts.tri_pair_indices)
         parts.tri_emb = loss_tri_emb(fused, ts.tri_text_rows, ts.terms)
-        parts.node_init = loss_node_init(result.nodes0_3d, result.nodes0_oracle, rows=p.nodes)
+        parts.node_init = loss_node_init(result.nodes0_3d, result.nodes0_oracle, p.nodes)
     per_scene = total_loss(parts, weights)
     terms = {
         "loss_obj_3d": parts.obj_3d,

@@ -1,7 +1,7 @@
 """Taped ops that only the tests use, to spell out per-head and per-instance
 references for the fused ops of `sg3d.autodiff`.
 
-`per_head_attention` (test_reasoning) slices heads with `narrow` and
+`per_head_core` (test_reasoning) slices heads with `narrow` and
 `transpose`; the per-segment attention and `segment_max` references
 (test_autodiff) slice rows with `narrow` and `reshape` and pool with
 `amax`; `per_instance_encoder` (test_encoders) pools with `amax`. Each op

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sg3d import autodiff as ad
-from sg3d.autodiff import Tape, Tensor
+from sg3d.autodiff import Segments, Tape, Tensor
 from sg3d.cli import build_parser, run_experiment_seed
 from sg3d.encoders import edge_descriptor
 from sg3d.metrics import (accuracy_events, mean_topk_accuracy, recall_at_k,
@@ -28,6 +28,7 @@ from sg3d.training import (LossParts, LossWeights, TrainConfig, build_train_scen
                            loss_pred, loss_tri_emb, scene_loss, total_loss, train)
 
 import metric_oracle as oracle
+from attention_probe import multi_head_weights
 from gradcheck import check_directional, check_params
 from reference_ops import amax, narrow, reshape, transpose
 from test_metrics import random_dump
@@ -67,7 +68,8 @@ def test_criterion_1_gradient_correctness():
         mix = Tensor(rng.standard_normal((3, 4)))
 
         unary = [(ad.relu, off_kink), (ad.absolute, off_kink), (ad.sigmoid, x), (ad.sqrt, pos),
-                 (ad.softplus, x), (ad.softmax, x), (ad.log_softmax, x)]
+                 (ad.softplus, x), (lambda a: ad.softmax(a, axis=1), x),
+                 (lambda a: ad.log_softmax(a, axis=1), x)]
         for op, arg in unary:
             check_params(lambda op=op, arg=arg: ad.tsum(ad.mul(op(arg), mix)),
                          {"arg": arg}, rng, rtol=rtol)
@@ -78,7 +80,7 @@ def test_criterion_1_gradient_correctness():
             r = ad.concat([h2, ad.neg(x)], axis=1)              # concat, neg
             r = ad.add(r, reshape(transpose(r), (3, 8)))        # transpose, reshape
             pieces = [
-                ad.tsum(h), ad.tmean(r), ad.tsum(amax(r, axis=1)),
+                ad.tsum(h), ad.tsum(ad.tmean(r, axis=1)), ad.tsum(amax(r, axis=1)),
                 ad.tsum(ad.gather_rows(r, idx)), ad.tsum(ad.take_per_row(r, cols)),
                 ad.tsum(narrow(r, 1, 2, 3)),
             ]
@@ -222,14 +224,15 @@ def test_criterion_5_masking_semantics():
         params = _attention_params(rng, 8)
         k = int(rng.integers(2, 6))
         q = Tensor(rng.standard_normal((k, 8)) * 0.5)
-        kv = Tensor(rng.standard_normal((k, 8)) * 0.5)
         mask = np.zeros((k, k))
         i, j = rng.integers(0, k, size=2)
         mask[i, j] = -30.0
-        weights = []
-        mhca_node(q, kv, Tensor(mask), params, 2, collect_weights=weights)
+        # the weights read off the outputs of mhca_node (attention_probe)
+        weights = multi_head_weights(
+            lambda kv, p: mhca_node(q, kv, Tensor(mask), p, 2, Segments([k])), q, params, 2)
+        assert len(weights) == 2
         for w in weights:
-            assert w.data[i, j] < 1e-12
+            assert w[i, j] < 1e-12
 
     mask_params = {
         "w1": Tensor(rng.standard_normal((4, 8)) * 0.4, requires_grad=True),
@@ -242,8 +245,8 @@ def test_criterion_5_masking_semantics():
         t = rng.integers(-8, 9, size=3).astype(np.float64)
         attrs_a = [compute_attributes(SceneInstance(0, p, 0)) for p in pts]
         attrs_b = [compute_attributes(SceneInstance(0, p + t, 0)) for p in pts]
-        assert np.array_equal(distance_mask(attrs_a, mask_params).data,
-                              distance_mask(attrs_b, mask_params).data)
+        assert np.array_equal(distance_mask(attrs_a, mask_params, Segments([3])).data,
+                              distance_mask(attrs_b, mask_params, Segments([3])).data)
     record(5, "additive -30 mask suppression and mask translation invariance")
 
 
@@ -255,14 +258,17 @@ def test_criterion_6_loss_identities():
     rng = np.random.default_rng(17)
 
     n_obj = 16
-    assert abs(loss_obj(Tensor(np.zeros((6, n_obj))), rng.integers(0, n_obj, 6)).item()
-               - np.log(n_obj)) <= 1e-12
+    # each term on one scene: a layout of one segment
+    assert abs(loss_obj(Tensor(np.zeros((6, n_obj))), rng.integers(0, n_obj, 6),
+                        Segments([6])).item() - np.log(n_obj)) <= 1e-12
     gt = (rng.random((5, 13)) < 0.3).astype(float)
-    assert abs(loss_pred(Tensor(np.zeros((5, 13))), gt).item() - np.log(2.0)) <= 1e-12
+    assert abs(loss_pred(Tensor(np.zeros((5, 13))), gt, Segments([5])).item()
+               - np.log(2.0)) <= 1e-12
     rows = rng.standard_normal((4, 8))
-    assert loss_tri_emb(Tensor(rows), rows.copy()).item() == 0.0
+    assert loss_tri_emb(Tensor(rows), rows.copy(), Segments([4])).item() == 0.0
     feats = rng.standard_normal((5, 8)) + 2.0
-    assert abs(loss_node_init(Tensor(feats), Tensor(feats.copy())).item() + 1.0) <= 1e-12
+    assert abs(loss_node_init(Tensor(feats), Tensor(feats.copy()), Segments([5])).item()
+               + 1.0) <= 1e-12
 
     # scaling a lambda scales the corresponding gradient block exactly
     cfg = ModelConfig(d=8, hidden=8, heads=2, layers=1, d_vis=6, d_emb=8,

@@ -7,6 +7,7 @@ from sg3d import autodiff as ad
 from sg3d.autodiff import Tape, Tensor
 from sg3d.errors import ContractError, DimensionError, NumericError
 
+from attention_probe import attention_weights
 from gradcheck import check_params
 from reference_ops import amax, narrow, reshape, transpose
 
@@ -51,17 +52,17 @@ def test_matmul_backward_rule():
 
 
 def test_softmax_uniform():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
+    out = ad.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
     assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_closed_form():
-    out = ad.softmax(Tensor([np.log(1.0), np.log(3.0)]))
+    out = ad.softmax(Tensor([np.log(1.0), np.log(3.0)]), axis=0)
     assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_no_overflow():
-    out = ad.softmax(Tensor([1000.0, 0.0]))
+    out = ad.softmax(Tensor([1000.0, 0.0]), axis=0)
     assert out.data[0] > 1.0 - 1e-12
     assert out.data[1] < 1e-12
 
@@ -210,10 +211,10 @@ def test_softmax_family_gradients(trial):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Layer norm over the last axis, composed from engine ops: the row means
-    are a product with a constant (D, 1) column of 1/D, so an (N, 1) column
-    broadcasts through `sub` and `div` and the (D,) scale and shift over rows."""
-    avg = Tensor(np.full((x.shape[1], 1), 1.0 / x.shape[1]))
+    """Layer norm over the last axis, composed from engine ops: a product
+    with a constant (D, D) matrix of 1/D puts each row's mean in every
+    column, and the (D,) scale and shift broadcast over rows."""
+    avg = Tensor(np.full((x.shape[1], x.shape[1]), 1.0 / x.shape[1]))
     centered = ad.sub(x, ad.matmul(x, avg))
     var = ad.matmul(ad.mul(centered, centered), avg)
     normed = ad.div(centered, ad.sqrt(ad.add(var, eps)))
@@ -222,7 +223,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 @pytest.mark.parametrize("trial", range(20))
 def test_layer_norm_gradients(trial):
-    # the gradients of broadcast operands: size-1 axes and missing leading axes
+    # the gradients of operands broadcast along missing leading axes
     rng = np.random.default_rng(500 + trial)
     x = param(rng, 3, 6)
     gamma = param(rng, 6, scale=0.3, offset=1.0)
@@ -244,6 +245,19 @@ def test_broadcast_bias_gradient():
         return ad.tsum(ad.mul(ad.add(x, b), ad.add(x, b)))
 
     check_params(loss, {"x": x, "b": b}, rng, rtol=RTOL)
+
+
+def test_size_one_axis_broadcast_is_refused_in_backward():
+    # the model broadcasts operands only along missing leading axes; an
+    # (N, 1) column stretched over (N, D) has no gradient rule and must not
+    # get a gradient of the wrong shape
+    rng = np.random.default_rng(8)
+    x, col = param(rng, 4, 3), param(rng, 4, 1)
+    with Tape() as tape:
+        out = ad.sub(x, col)
+        with pytest.raises(DimensionError):
+            tape.backward(ad.tsum(out))
+    assert col.grad is None
 
 
 def test_gather_rows_duplicate_indices():
@@ -299,7 +313,7 @@ def test_attention_gradients(n, m, heads, masked):
     weights = rng.standard_normal((n, 8))
 
     def loss():
-        out = ad.attention(q, k, v, heads, mask=params.get("mask"))
+        out = ad.attention(q, k, v, heads, ad.Segments([n]), params.get("mask"))
         return ad.tsum(ad.mul(out, Tensor(weights)))
 
     check_params(loss, params, rng, rtol=RTOL)
@@ -313,17 +327,18 @@ def test_attention_batch_axis_equals_per_entry():
     assert layout.full and not ad.Segments([4, 3]).full
     q, k, v = (rng.standard_normal((12, 8)) for _ in range(3))
     mask = rng.standard_normal(48)
-    batched_w, one_w = [], []
-    batched = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4, mask=Tensor(mask),
-                           collect_weights=batched_w, layout=layout).data
+    batched = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4, layout, Tensor(mask)).data
+    batched_w = attention_weights(Tensor(q), Tensor(k), 4, layout, Tensor(mask))
+    one_w = []
     for b in range(3):
-        rows = slice(4 * b, 4 * b + 4)
-        one = ad.attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 4,
-                           mask=Tensor(mask[16 * b:16 * b + 16]), collect_weights=one_w)
+        rows, one_layout = slice(4 * b, 4 * b + 4), ad.Segments([4])
+        block = Tensor(mask[16 * b:16 * b + 16])
+        one = ad.attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 4, one_layout, block)
         assert np.array_equal(batched[rows], one.data)
+        one_w += attention_weights(Tensor(q[rows]), Tensor(k[rows]), 4, one_layout, block)
     assert len(batched_w) == len(one_w) == 12
     for a, b in zip(batched_w, one_w):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
     # a full layout pads and unpads by reshaping, without a copy
     assert np.shares_memory(layout.pad(q), q)
     padded = layout.pad(q).copy()
@@ -339,32 +354,33 @@ def test_attention_gradients_are_row_major(lengths):
     layout = ad.Segments(lengths)
     q, k, v = (param(rng, layout.total, 8) for _ in range(3))
     with Tape() as tape:
-        tape.backward(ad.tsum(ad.attention(q, k, v, 2, layout=layout)))
+        tape.backward(ad.tsum(ad.attention(q, k, v, 2, layout)))
     assert all(x.grad.flags.c_contiguous for x in (q, k, v))
 
 
 def test_attention_hand_case_per_head():
     rng = np.random.default_rng(761)
     q, k, v = rng.standard_normal((5, 6)), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
-    weights = []
-    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, collect_weights=weights).data
+    layout = ad.Segments([5])
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, layout).data
+    weights = attention_weights(Tensor(q), Tensor(k), 3, layout)
     assert len(weights) == 3
     for h, cols in enumerate((slice(0, 2), slice(2, 4), slice(4, 6))):
         logits = q[:, cols] @ k[:, cols].T / np.sqrt(2.0)
         attn = np.exp(logits - logits.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
-        assert np.allclose(weights[h].data, attn, atol=1e-14)
+        assert np.allclose(weights[h], attn, atol=1e-14)
         assert np.allclose(out[:, cols], attn @ v[:, cols], atol=1e-14)
 
 
 def test_attention_shape_errors():
-    x = Tensor(np.zeros((3, 8)))
+    x, layout = Tensor(np.zeros((3, 8))), ad.Segments([3])
     with pytest.raises(DimensionError):
-        ad.attention(x, x, x, 3)
+        ad.attention(x, x, x, 3, layout)
     with pytest.raises(DimensionError):
-        ad.attention(x, Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))), 2)
+        ad.attention(x, Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))), 2, layout)
     with pytest.raises(DimensionError):  # queries and keys are the same rows of one layout
-        ad.attention(x, Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))), 2)
+        ad.attention(x, Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))), 2, layout)
 
 
 @pytest.mark.parametrize("lengths", [(1,), (3,), (1, 1, 1), (2, 1, 4), (5, 1), (1, 6, 2, 1)])
@@ -448,7 +464,7 @@ def test_packed_attention_gradients(lengths, masked):
     weights = rng.standard_normal((layout.total, 8))
 
     def loss():
-        out = ad.attention(q, k, v, 2, mask=params.get("mask"), layout=layout)
+        out = ad.attention(q, k, v, 2, layout, params.get("mask"))
         return ad.tsum(ad.mul(out, Tensor(weights)))
 
     check_params(loss, params, rng, rtol=RTOL)
@@ -468,34 +484,36 @@ def test_packed_attention_matches_each_segment_alone(lengths):
     def grads(fn):
         for t in leaves.values():
             t.zero_grad()
-        collected = []
         with Tape() as tape:
-            out = fn(collected)
+            out, collected = fn()
             tape.backward(ad.tsum(ad.mul(out, weights)))
         return out.data, collected, {n: np.zeros_like(t.data) if t.grad is None else t.grad
                                      for n, t in leaves.items()}
 
-    def packed(collected):
-        return ad.attention(q, k, v, 4, mask=mask, collect_weights=collected, layout=layout)
+    # each also returns the weights, read off the outputs of further runs of
+    # the op; those runs do not reach the loss, so they add no gradient
+    def packed():
+        return ad.attention(q, k, v, 4, layout, mask), attention_weights(q, k, 4, layout, mask)
 
-    def alone(collected):
-        outs, pair_start = [], 0
+    def alone():
+        outs, collected, pair_start = [], [], 0
         for start, n in zip(layout.starts, lengths):
-            if n == 0:  # the packed op lists an empty weight matrix per head
-                collected.extend(Tensor(np.zeros((0, 0))) for _ in range(4))
+            if n == 0:  # the packed probe reads an empty weight matrix per head
+                collected += [np.zeros((0, 0))] * 4
                 continue
             rows = [narrow(x, 0, int(start), int(n)) for x in (q, k, v)]
             block = reshape(narrow(mask, 0, pair_start, n * n), (n, n))
-            outs.append(ad.attention(*rows, 4, mask=block, collect_weights=collected))
+            outs.append(ad.attention(*rows, 4, ad.Segments([n]), block))
+            collected += attention_weights(rows[0], rows[1], 4, ad.Segments([n]), block)
             pair_start += n * n
-        return ad.concat(outs, axis=0)
+        return ad.concat(outs, axis=0), collected
 
     out, w_packed, g_packed = grads(packed)
     ref, w_alone, g_alone = grads(alone)
     assert np.allclose(out, ref, rtol=0, atol=1e-13)
     assert len(w_packed) == len(w_alone)
     for a, b in zip(w_packed, w_alone):
-        assert a.data.shape == b.data.shape and np.allclose(a.data, b.data, rtol=0, atol=1e-14)
+        assert a.shape == b.shape and np.allclose(a, b, rtol=0, atol=1e-14)
     scale = max(float(np.abs(g).max()) for g in g_alone.values())
     for name in leaves:
         assert np.abs(g_packed[name] - g_alone[name]).max() <= 1e-12 * scale, name
@@ -505,7 +523,7 @@ def test_packed_attention_rejects_mismatched_rows():
     layout = ad.Segments([2, 3])
     with pytest.raises(DimensionError):
         ad.attention(Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))),
-                     2, layout=layout)
+                     2, layout)
 
 
 @pytest.mark.parametrize("shape", [(7,), (7, 3)])
@@ -518,7 +536,7 @@ def test_segment_mean_gradients_and_values(shape):
     for b, (start, n) in enumerate(zip(rows.starts, rows.lengths)):
         want = x.data[start:start + n].mean(axis=0) if n else np.zeros(shape[1:])
         assert np.all(np.abs(out[b] - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
-    assert ad.segment_mean(x).data.shape == (1,) + shape[1:]
+    assert ad.segment_mean(x, ad.Segments([7])).data.shape == (1,) + shape[1:]
     weights = rng.standard_normal((rows.count,) + shape[1:])
     check_params(lambda: ad.tsum(ad.mul(ad.segment_mean(x, rows), Tensor(weights))),
                  {"x": x}, rng, rtol=RTOL)

@@ -615,18 +615,54 @@ def test_malformed_dump_exit_code(workspace, tmp_path, caplog, name, breakage):
     assert not (tmp_path / "ev" / "report.json").exists()
 
 
-@pytest.mark.parametrize("breakage", ["not json", "missing-field"])
-def test_malformed_manifest_exit_code(workspace, tmp_path, breakage):
+def _edited(change):
+    """A manifest edit: `change` alters the parsed manifest in place."""
+    def edit(manifest):
+        change(manifest)
+        return json.dumps(manifest)
+    return edit
+
+
+# (id, manifest edit): train and predict read the dataset's manifest, and
+# each must refuse these with a data error
+BAD_DATASET_MANIFESTS = [
+    ("top-level-list", lambda manifest: "[]"),
+    ("object_names-missing", _edited(lambda m: m.pop("object_names"))),
+    ("predicate_train_frequency-float",
+     _edited(lambda m: m.update(predicate_train_frequency=[float(c) + 0.5
+                                                            for c in m["predicate_train_frequency"]]))),
+    ("world_config-not-an-object", _edited(lambda m: m.update(world_config=[]))),
+    ("world_config-unknown-key", _edited(lambda m: m["world_config"].update(colour=1))),
+    ("world_config-missing-key", _edited(lambda m: m["world_config"].pop("seed"))),
+    ("world_config-n_obj-string", _edited(lambda m: m["world_config"].update(n_obj="16"))),
+]
+
+# (id, command, manifest edit); eval reads the manifest named by --manifest
+MALFORMED_MANIFESTS = [
+    ("not json", "eval", lambda manifest: "{not json"),
+    ("missing-field", "eval", _edited(lambda m: m.pop("train_triplets"))),
+] + [(f"{command}-{name}", command, edit)
+     for command in ("train", "predict") for name, edit in BAD_DATASET_MANIFESTS]
+
+
+@pytest.mark.parametrize("command,edit", [row[1:] for row in MALFORMED_MANIFESTS],
+                         ids=[row[0] for row in MALFORMED_MANIFESTS])
+def test_malformed_manifest_exit_code(workspace, tmp_path, command, edit):
     root, cfg = workspace
-    bad = tmp_path / "manifest.json"
-    if breakage == "not json":
-        bad.write_text("{not json")
-    else:
-        manifest = json.loads((root / "ds" / "manifest.json").read_text())
-        del manifest["train_triplets"]
-        bad.write_text(json.dumps(manifest))
-    assert main(["eval", "--dump", str(root / "pred" / "predictions.jsonl"),
-                 "--manifest", str(bad), "--out", str(tmp_path / "ev")]) == 3
+    ds = tmp_path / "ds"
+    shutil.copytree(root / "ds", ds)
+    manifest = ds / "manifest.json"
+    manifest.write_text(edit(json.loads(manifest.read_text())))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--dataset", str(ds), "--out", str(out), "--config", cfg],
+        "predict": ["predict", "--dataset", str(ds), "--out", str(out),
+                    "--checkpoint", str(root / "run" / "checkpoint.json")],
+        "eval": ["eval", "--dump", str(root / "pred" / "predictions.jsonl"),
+                 "--manifest", str(manifest), "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    assert not out.exists()
 
 
 # (id, config file eval section, --k-list)

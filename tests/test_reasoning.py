@@ -11,6 +11,7 @@ from sg3d.reasoning import (GraphState, ModelConfig, ModelState, distance_mask,
 from sg3d.scene import (SceneGraphSample, SceneInstance, compute_attributes,
                         ordered_pairs, pair_index_arrays)
 
+from attention_probe import attention_weights, multi_head_weights
 from gradcheck import analytic_grads, check_directional, check_params
 from reference_ops import narrow, reshape, transpose
 
@@ -42,31 +43,33 @@ def make_sample(rng, k=3, n_rel=3, with_visual=True, d_vis=6):
                             predicate_gt=gt, visual_features=visual)
 
 
-def per_head_attention(query_stream, kv_stream, params, n_heads, mask=None, collect_weights=None,
-                       layout=None):
-    """Reference composite of `multi_head_attention`: one narrow, transpose,
-    matmul and softmax chain per head, then a concat. One scene only: a
-    layout, when passed, must have a single segment. The mask holds the
-    scene's N*N pair values in any shape; zero rows give zero rows."""
-    assert layout is None or layout.count == 1
-    n, d = query_stream.data.shape
-    dh = d // n_heads
+def per_head_core(q, k, v, heads, layout, mask=None):
+    """Reference composite of `autodiff.attention` on one scene: one narrow,
+    transpose, matmul and softmax chain per head, then a concat. The layout
+    must have a single segment; the mask holds the scene's N*N pair values
+    in any shape. Zero rows give zero rows."""
+    assert layout.count == 1
+    n, d = q.data.shape
+    dh = d // heads
     if mask is not None:
         mask = reshape(mask, (n, n))
-    q = ad.linear(query_stream, params["wq"], params["bq"])
-    k = ad.linear(kv_stream, params["wk"], params["bk"])
-    v = ad.linear(kv_stream, params["wv"], params["bv"])
     outs = []
-    for h in range(n_heads):
+    for h in range(heads):
         qh, kh, vh = (narrow(x, 1, h * dh, dh) for x in (q, k, v))
         logits = ad.mul(ad.matmul(qh, transpose(kh)), 1.0 / np.sqrt(dh))
         if mask is not None:
             logits = ad.add(logits, mask)
-        attn = ad.softmax(logits, axis=1)
-        if collect_weights is not None:
-            collect_weights.append(attn)
-        outs.append(ad.matmul(attn, vh))
-    merged = ad.concat(outs, axis=1)
+        outs.append(ad.matmul(ad.softmax(logits, axis=1), vh))
+    return ad.concat(outs, axis=1)
+
+
+def per_head_attention(query_stream, kv_stream, params, n_heads, layout, mask=None):
+    """Reference composite of `multi_head_attention` on one scene, with
+    `per_head_core` in place of the fused op."""
+    q = ad.linear(query_stream, params["wq"], params["bq"])
+    k = ad.linear(kv_stream, params["wk"], params["bk"])
+    v = ad.linear(kv_stream, params["wv"], params["bv"])
+    merged = per_head_core(q, k, v, n_heads, layout, mask)
     return ad.add(query_stream, ad.linear(merged, params["wo"], params["bo"]))
 
 
@@ -79,21 +82,26 @@ class TestFusedAttention:
             # a query and a key/value stream of the same rows; odd trials reach
             # the edge counts of the largest scenes
             n = int(rng.integers(1, 10)) if trial % 2 else int(rng.integers(1, 73))
+            layout = Segments([n])
             q = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
             kv = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
             mask = Tensor(rng.standard_normal((n, n)), requires_grad=True) if trial % 3 == 0 else None
             leaves = dict(params, q=q, kv=kv, **({"mask": mask} if mask is not None else {}))
             weights = Tensor(rng.standard_normal((n, 8)))
-            fused_w, ref_w = [], []
             fused = analytic_grads(lambda: ad.tsum(ad.mul(multi_head_attention(
-                q, kv, params, heads, mask=mask, collect_weights=fused_w), weights)), leaves)
+                q, kv, params, heads, layout, mask), weights)), leaves)
             ref = analytic_grads(lambda: ad.tsum(ad.mul(per_head_attention(
-                q, kv, params, heads, mask=mask, collect_weights=ref_w), weights)), leaves)
-            assert np.array_equal(multi_head_attention(q, kv, params, heads, mask=mask).data,
-                                  per_head_attention(q, kv, params, heads, mask=mask).data)
+                q, kv, params, heads, layout, mask), weights)), leaves)
+            assert np.array_equal(multi_head_attention(q, kv, params, heads, layout, mask).data,
+                                  per_head_attention(q, kv, params, heads, layout, mask).data)
+            # the weights of the projected queries and keys, read off each op's output
+            qp = ad.linear(q, params["wq"], params["bq"])
+            kp = ad.linear(kv, params["wk"], params["bk"])
+            fused_w = attention_weights(qp, kp, heads, layout, mask)
+            ref_w = attention_weights(qp, kp, heads, layout, mask, op=per_head_core)
             assert len(fused_w) == len(ref_w) == heads
             for a, b in zip(fused_w, ref_w):
-                assert np.array_equal(a.data, b.data)
+                assert np.array_equal(a, b)
             scale = max(float(np.abs(g).max()) for g in ref.values())
             for name in leaves:
                 assert np.abs(fused[name] - ref[name]).max() <= 1e-12 * scale, name
@@ -104,10 +112,12 @@ class TestMHSA:
         rng = np.random.default_rng(0)
         params = _attention_params(rng, 8)
         x = Tensor(rng.standard_normal((1, 8)))
-        weights = []
-        out = multi_head_attention(x, x, params, 2, collect_weights=weights)
+        out = multi_head_attention(x, x, params, 2, Segments([1]))
+        weights = multi_head_weights(
+            lambda kv, p: multi_head_attention(x, kv, p, 2, Segments([1])), x, params, 2)
+        assert len(weights) == 2
         for w in weights:
-            assert np.allclose(w.data, [[1.0]])
+            assert np.allclose(w, [[1.0]])
         assert out.data.shape == (1, 8)
 
     def test_identical_features_uniform_attention(self):
@@ -115,10 +125,13 @@ class TestMHSA:
         params = _attention_params(rng, 8)
         row = rng.standard_normal(8)
         x = Tensor(np.tile(row, (4, 1)))
-        weights = []
-        multi_head_attention(x, x, params, 2, collect_weights=weights)
+        # the probe's key rows are the rows of wk: equal rows make the keys identical
+        params["wk"] = Tensor(np.tile(params["wk"].data[0], (8, 1)))
+        weights = multi_head_weights(
+            lambda kv, p: multi_head_attention(x, kv, p, 2, Segments([4])), x, params, 2)
+        assert len(weights) == 2
         for w in weights:
-            assert np.allclose(w.data, 0.25, atol=1e-12)
+            assert np.allclose(w, 0.25, atol=1e-12)
 
     def test_hand_computation_single_head(self):
         # D=2, one head, identity projections, zero biases
@@ -129,7 +142,7 @@ class TestMHSA:
             "wo": Tensor(np.eye(2), requires_grad=True), "bo": Tensor(np.zeros(2), requires_grad=True),
         }
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        out = multi_head_attention(Tensor(x), Tensor(x), params, 1).data
+        out = multi_head_attention(Tensor(x), Tensor(x), params, 1, Segments([3])).data
         scores = x @ x.T / np.sqrt(2.0)
         attn = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
@@ -139,10 +152,11 @@ class TestMHSA:
         rng = np.random.default_rng(2)
         params = _attention_params(rng, 8)
         x = Tensor(rng.standard_normal((5, 8)))
-        weights = []
-        multi_head_attention(x, x, params, 4, collect_weights=weights)
+        weights = multi_head_weights(
+            lambda kv, p: multi_head_attention(x, kv, p, 4, Segments([5])), x, params, 4)
+        assert len(weights) == 4
         for w in weights:
-            assert np.all(np.abs(w.data.sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
 
 class TestDistanceMask:
@@ -168,8 +182,8 @@ class TestDistanceMask:
         rng = np.random.default_rng(3)
         params = self.mask_params(rng)
         attrs = self.attrs_from(rng, 3)
-        mask = distance_mask(attrs, params).data.reshape(3, 3)
-        rows = mask_input_matrix(attrs)
+        mask = distance_mask(attrs, params, Segments([3])).data.reshape(3, 3)
+        rows = mask_input_matrix(attrs, Segments([3]))
         assert np.array_equal(rows.reshape(3, 3, 4)[np.arange(3), np.arange(3)], np.zeros((3, 4)))
         zero_out = ad.linear(ad.relu(ad.linear(Tensor(np.zeros((1, 4))), params["w1"], params["b1"])),
                              params["w2"], params["b2"]).data[0, 0]
@@ -182,8 +196,8 @@ class TestDistanceMask:
         t = rng.integers(-8, 9, size=3).astype(np.float64)
         attrs_a = [compute_attributes(SceneInstance(0, p, 0)) for p in pts_sets]
         attrs_b = [compute_attributes(SceneInstance(0, p + t, 0)) for p in pts_sets]
-        assert np.array_equal(distance_mask(attrs_a, params).data,
-                              distance_mask(attrs_b, params).data)
+        assert np.array_equal(distance_mask(attrs_a, params, Segments([3])).data,
+                              distance_mask(attrs_b, params, Segments([3])).data)
 
     def test_zero_weights_bias_beta(self):
         rng = np.random.default_rng(5)
@@ -191,7 +205,7 @@ class TestDistanceMask:
         params["w2"].data[:] = 0.0
         params["b2"].data[:] = 3.25
         attrs = self.attrs_from(rng, 4)
-        assert np.all(distance_mask(attrs, params).data == 3.25)
+        assert np.all(distance_mask(attrs, params, Segments([4])).data == 3.25)
 
 
 class TestMHCA:
@@ -199,34 +213,34 @@ class TestMHCA:
         rng = np.random.default_rng(6)
         params = _attention_params(rng, 8)
         q = Tensor(rng.standard_normal((4, 8)) * 0.5)
-        kv = Tensor(rng.standard_normal((4, 8)) * 0.5)
         mask = np.zeros((4, 4))
         mask[1, 2] = -1e9
-        weights = []
-        mhca_node(q, kv, Tensor(mask), params, 2, collect_weights=weights)
+        weights = multi_head_weights(
+            lambda kv, p: mhca_node(q, kv, Tensor(mask), p, 2, Segments([4])), q, params, 2)
+        assert len(weights) == 2
         for w in weights:
-            assert w.data[1, 2] <= 1e-12
+            assert w[1, 2] <= 1e-12
 
     def test_minus_30_mask(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
             params = _attention_params(rng, 8)
             q = Tensor(rng.standard_normal((5, 8)) * 0.5)
-            kv = Tensor(rng.standard_normal((5, 8)) * 0.5)
             mask = np.zeros((5, 5))
             mask[2, 3] = -30.0
-            weights = []
-            mhca_node(q, kv, Tensor(mask), params, 2, collect_weights=weights)
+            weights = multi_head_weights(
+                lambda kv, p: mhca_node(q, kv, Tensor(mask), p, 2, Segments([5])), q, params, 2)
+            assert len(weights) == 2
             for w in weights:
-                assert w.data[2, 3] < 1e-12
+                assert w[2, 3] < 1e-12
 
     def test_zero_mask_equals_plain_cross_attention(self):
         rng = np.random.default_rng(8)
         params = _attention_params(rng, 8)
         q = Tensor(rng.standard_normal((3, 8)))
         kv = Tensor(rng.standard_normal((3, 8)))
-        masked = mhca_node(q, kv, Tensor(np.zeros((3, 3))), params, 2).data
-        plain = multi_head_attention(q, kv, params, 2).data
+        masked = mhca_node(q, kv, Tensor(np.zeros((3, 3))), params, 2, Segments([3])).data
+        plain = multi_head_attention(q, kv, params, 2, Segments([3])).data
         assert np.array_equal(masked, plain)
 
     def test_gradients_flow_into_kv_not_forward(self):
@@ -235,7 +249,7 @@ class TestMHCA:
         kv = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
         q = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
         with Tape() as tape:
-            out = mhca_node(q, kv, Tensor(np.zeros((3, 3))), params, 2)
+            out = mhca_node(q, kv, Tensor(np.zeros((3, 3))), params, 2, Segments([3]))
             tape.backward(ad.tsum(out))
         assert kv.grad is not None and np.any(kv.grad != 0)
         # the kv stream's value is untouched by the op (unidirectional)
@@ -245,11 +259,11 @@ class TestMHCA:
         rng = np.random.default_rng(10)
         params = _attention_params(rng, 8)
         e_or = Tensor(rng.standard_normal((1, 8)))
-        e_3d = Tensor(rng.standard_normal((1, 8)))
-        weights = []
-        mhca_edge(e_or, e_3d, params, 2, collect_weights=weights)
+        weights = multi_head_weights(
+            lambda e_3d, p: mhca_edge(e_or, e_3d, p, 2, Segments([1])), e_or, params, 2)
+        assert len(weights) == 2
         for w in weights:
-            assert np.allclose(w.data, [[1.0]])
+            assert np.allclose(w, [[1.0]])
 
 
 class TestFatGnn:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sg3d import autodiff as ad
 from sg3d import encoders, reasoning, training
-from sg3d.autodiff import Tape, Tensor
+from sg3d.autodiff import Segments, Tape, Tensor
 from sg3d.cli import predict_dump
 from sg3d.errors import ConfigError, DataError, NumericError
 from sg3d.reasoning import ModelConfig, ModelState, forward_scene
@@ -28,16 +28,16 @@ from test_reasoning import make_sample, per_head_attention, randomize_params, sm
 class TestLossObj:
     def test_confident_correct_is_near_zero(self):
         logits = Tensor(np.array([[1e6, 0.0, 0.0], [0.0, 1e6, 0.0]]))
-        assert loss_obj(logits, [0, 1]).item() < 1e-9
+        assert loss_obj(logits, [0, 1], Segments([2])).item() < 1e-9
 
     def test_uniform_logits_log_n(self):
         n = 16
         logits = Tensor(np.zeros((5, n)))
-        assert abs(loss_obj(logits, [0, 3, 7, 11, 15]).item() - np.log(n)) <= 1e-12
+        assert abs(loss_obj(logits, [0, 3, 7, 11, 15], Segments([5])).item() - np.log(n)) <= 1e-12
 
     def test_out_of_range_label(self):
         with pytest.raises(DataError):
-            loss_obj(Tensor(np.zeros((2, 3))), [0, 3])
+            loss_obj(Tensor(np.zeros((2, 3))), [0, 3], Segments([2]))
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(0)
@@ -46,7 +46,7 @@ class TestLossObj:
         gt = rng.integers(0, 5, size=6)
 
         def loss():
-            return loss_obj(ad.matmul(Tensor(x), w), gt)
+            return loss_obj(ad.matmul(Tensor(x), w), gt, Segments([6]))
 
         check_params(loss, {"w": w}, rng, rtol=1e-4)
 
@@ -55,13 +55,13 @@ class TestLossPred:
     def test_confident_correct_near_zero(self):
         gt = np.array([[1.0, 0.0], [0.0, 1.0]])
         logits = Tensor(np.where(gt > 0, 40.0, -40.0))
-        assert loss_pred(logits, gt).item() < 1e-9
+        assert loss_pred(logits, gt, Segments([2])).item() < 1e-9
 
     def test_zero_logits_ln2(self):
         logits = Tensor(np.zeros((7, 13)))
         gt = np.zeros((7, 13))
         gt[0, 0] = 1
-        assert abs(loss_pred(logits, gt).item() - np.log(2.0)) <= 1e-12
+        assert abs(loss_pred(logits, gt, Segments([7])).item() - np.log(2.0)) <= 1e-12
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(1)
@@ -70,7 +70,7 @@ class TestLossPred:
         gt = (rng.random((5, 3)) < 0.4).astype(float)
 
         def loss():
-            return loss_pred(ad.matmul(Tensor(x), w), gt)
+            return loss_pred(ad.matmul(Tensor(x), w), gt, Segments([5]))
 
         check_params(loss, {"w": w}, rng, rtol=1e-4)
 
@@ -78,13 +78,14 @@ class TestLossPred:
 class TestLossTriEmb:
     def test_exact_match_zero(self):
         rows = np.random.default_rng(2).standard_normal((4, 6))
-        assert loss_tri_emb(Tensor(rows), rows.copy()).item() == 0.0
+        assert loss_tri_emb(Tensor(rows), rows.copy(), Segments([4])).item() == 0.0
 
     def test_empty_mask_zero_without_gradient(self):
         # a scene without ground-truth relations has zero fused rows
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:
-            out = loss_tri_emb(ad.matmul(Tensor(np.zeros((0, 2))), w), np.zeros((0, 2)))
+            out = loss_tri_emb(ad.matmul(Tensor(np.zeros((0, 2))), w), np.zeros((0, 2)),
+                               Segments([0]))
             tape.backward(ad.tsum(out))
         assert out.item() == 0.0
         assert np.array_equal(w.grad, np.zeros((2, 2)))
@@ -92,7 +93,7 @@ class TestLossTriEmb:
     def test_hand_case(self):
         fused = Tensor(np.array([[1.0, 0.0]]))
         text = np.array([[0.0, 1.0]])
-        assert loss_tri_emb(fused, text).item() == 1.0
+        assert loss_tri_emb(fused, text, Segments([1])).item() == 1.0
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(3)
@@ -101,7 +102,7 @@ class TestLossTriEmb:
         text = rng.standard_normal((5, 4))
 
         def loss():
-            return loss_tri_emb(ad.matmul(Tensor(x), w), text)
+            return loss_tri_emb(ad.matmul(Tensor(x), w), text, Segments([5]))
 
         check_params(loss, {"w": w}, rng, rtol=1e-4)
 
@@ -109,17 +110,18 @@ class TestLossTriEmb:
 class TestLossNodeInit:
     def test_equal_nonzero_is_minus_one(self):
         rows = np.ones((3, 8))
-        assert abs(loss_node_init(Tensor(rows), Tensor(rows.copy())).item() + 1.0) <= 1e-12
+        out = loss_node_init(Tensor(rows), Tensor(rows.copy()), Segments([3])).item()
+        assert abs(out + 1.0) <= 1e-12
 
     def test_orthogonal_zero(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
         b = np.array([[0.0, 3.0], [4.0, 0.0]])
-        assert abs(loss_node_init(Tensor(a), Tensor(b)).item()) <= 1e-12
+        assert abs(loss_node_init(Tensor(a), Tensor(b), Segments([2])).item()) <= 1e-12
 
     def test_zero_norm_guarded(self):
         a = np.zeros((2, 3))
         b = np.ones((2, 3))
-        out = loss_node_init(Tensor(a), Tensor(b)).item()
+        out = loss_node_init(Tensor(a), Tensor(b), Segments([2])).item()
         assert np.isfinite(out)
 
     def test_gradient_vs_fd(self):
@@ -129,7 +131,7 @@ class TestLossNodeInit:
         x = rng.standard_normal((3, 3))
 
         def loss():
-            return loss_node_init(ad.matmul(Tensor(x), wa), ad.matmul(Tensor(x), wb))
+            return loss_node_init(ad.matmul(Tensor(x), wa), ad.matmul(Tensor(x), wb), Segments([3]))
 
         check_params(loss, {"wa": wa, "wb": wb}, rng, rtol=1e-4)
 
@@ -585,17 +587,32 @@ AUTODIFF_NON_OPS = {"Tensor", "Tape", "Segments", "as_tensor", "PAD_BIAS"}
 
 def test_every_autodiff_op_runs_in_the_model(monkeypatch):
     # the engine ships only what training and prediction call: a joint and a
-    # 3D-only loss with its backward on a packed batch, then one prediction
+    # 3D-only loss with its backward on a packed batch, then one prediction.
+    # Every op runs, and every parameter with a default gets its default in
+    # some call and another value in another: a default the model never
+    # takes, or never overrides, is an option nothing needs
     public = {name for name, value in vars(ad).items()
               if not name.startswith("_") and not inspect.ismodule(value)
               and getattr(value, "__module__", ad.__name__) == ad.__name__}
     assert AUTODIFF_NON_OPS <= public
     ops = public - AUTODIFF_NON_OPS
     calls = dict.fromkeys(ops, 0)
+    # (op, parameter) -> {"default", "other"}: what the parameter received
+    received = {(name, param.name): set() for name in ops
+                for param in inspect.signature(getattr(ad, name)).parameters.values()
+                if param.default is not inspect.Parameter.empty}
 
     def counting(name, op):
+        signature = inspect.signature(op)
+
         def run(*args, **kwargs):
             calls[name] += 1
+            bound = signature.bind(*args, **kwargs)
+            for param in signature.parameters.values():
+                if (name, param.name) in received:
+                    value = bound.arguments.get(param.name, param.default)
+                    received[name, param.name].add("default" if value is param.default
+                                                   else "other")
             return op(*args, **kwargs)
         return run
 
@@ -613,6 +630,8 @@ def test_every_autodiff_op_runs_in_the_model(monkeypatch):
             tape.backward(total)
     predict_dump(model, samples, "", "")
     assert sorted(name for name, n in calls.items() if n == 0) == []
+    assert ("attention", "mask") in received and ("tsum", "axis") in received
+    assert {key: seen for key, seen in received.items() if seen != {"default", "other"}} == {}
 
 
 def batch_scene(rng, k, relations):
