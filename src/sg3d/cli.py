@@ -13,8 +13,7 @@ import json
 import logging
 import os
 import sys
-import typing
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import ConfigError, DataError, NumericError, Sg3dError
 from .metrics import (EvalConfig, PredictionDump, ScenePrediction, dump_from_jsonl,
                       dump_to_jsonl, evaluate, report_rows, report_to_csv)
 from .reasoning import ModelConfig, ModelState, forward_scene, pack_scenes, prepare_scene
-from .scene import Vocabulary, fits_type, load_scene_file, save_scene_file
+from .scene import Vocabulary, field_problems, fits_type, load_scene_file, save_scene_file
 from .synthetic import WorldConfig, generate_dataset, manifest_to_json, provider_from_manifest
 from .training import Checkpoint, TrainConfig, train
 
@@ -47,16 +46,9 @@ def config_hash(obj) -> str:
 
 
 def _build_dataclass(cls, values: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(values) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        hint = hints[key]
-        if not fits_type(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ConfigError(f"{where}: {key} must be of type {name}, got {value!r}")
+    problems = field_problems(cls, values, complete=False)
+    if problems:
+        raise ConfigError(f"{where}: {'; '.join(problems)}")
     return cls(**values)
 
 
@@ -165,8 +157,9 @@ MANIFEST_FIELDS = {"object_names": list[str], "predicate_names": list[str],
 
 def read_manifest(dataset_dir: Path) -> dict:
     """The dataset manifest, whose `world_config` names exactly the
-    `WorldConfig` fields; a field missing or of the wrong JSON type (see
-    `fits_type`) is a data error."""
+    `WorldConfig` fields and counts its name lists; a field missing or of
+    the wrong JSON type (see `fits_type`), or a count that disagrees, is a
+    data error."""
     path = dataset_dir / "manifest.json"
     if not path.exists():
         raise DataError(f"dataset manifest not found: {path}")
@@ -176,11 +169,16 @@ def read_manifest(dataset_dir: Path) -> dict:
                         f"got {type(manifest).__name__}")
     bad = [k for k, kind in MANIFEST_FIELDS.items() if not fits_type(manifest.get(k), kind)]
     if not bad:
-        wc, hints = manifest["world_config"], typing.get_type_hints(WorldConfig)
-        bad = [f"world_config.{k}" for k in sorted(set(wc) | set(hints))
-               if k not in hints or k not in wc or not fits_type(wc[k], hints[k])]
+        wc = manifest["world_config"]
+        bad = [f"world_config: {p}" for p in field_problems(WorldConfig, wc, complete=True)]
     if bad:
         raise DataError(f"dataset manifest {path}: fields missing or of the wrong type: {bad}")
+    counts = [len(manifest[k]) for k in ("object_names", "predicate_names",
+                                          "predicate_train_frequency")]
+    if counts != [wc["n_obj"], wc["n_rel"], wc["n_rel"]]:
+        raise DataError(f"dataset manifest {path}: world_config n_obj={wc['n_obj']}, "
+                        f"n_rel={wc['n_rel']} disagree with its {counts[0]} object names, "
+                        f"{counts[1]} predicate names and {counts[2]} predicate frequencies")
     return manifest
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .scene import number_array, pair_index_arrays, relation_terms
+from .scene import fits_type, number_array, pair_index_arrays, relation_terms
 
 OBJECT_KS = (1, 5, 10)
 PREDICATE_KS = (1, 3, 5)
@@ -328,7 +328,7 @@ class EvalConfig:
                                   f"got {getattr(self, name)!r}")
         for name in ("object_ks", "predicate_ks", "triplet_ks", "recall_ks"):
             ks = getattr(self, name)
-            if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in ks):
+            if not all(fits_type(k, int) and k >= 1 for k in ks):
                 raise ConfigError(f"eval config: {name} must hold integers >= 1, got {list(ks)}")
 
 
@@ -488,7 +488,7 @@ def dump_from_jsonl(text: str) -> PredictionDump:
             if header is None:
                 if not isinstance(rec, dict) or rec.get("kind") != "sg3d-dump":
                     raise DataError("not a prediction dump (missing header)")
-                if not all(isinstance(rec.get(f), int) and rec[f] >= 1 for f in ("n_obj", "n_rel")):
+                if not all(fits_type(rec.get(f), int) and rec[f] >= 1 for f in ("n_obj", "n_rel")):
                     raise DataError("header needs integer n_obj and n_rel >= 1")
                 header = rec
                 continue

@@ -31,8 +31,7 @@ from . import encoders
 from .autodiff import Segments, Tensor
 from .encoders import glorot
 from .errors import ConfigError, DataError
-from .scene import (InstanceAttributes, SceneGraphSample, compute_attributes,
-                    pair_index_arrays, predicate_gt_rows)
+from .scene import SceneGraphSample, compute_attributes, pair_index_arrays, predicate_gt_rows
 
 
 @dataclass
@@ -49,6 +48,10 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        small = [name for name in ("d", "hidden", "heads", "d_vis", "d_emb")
+                 if getattr(self, name) < 1]
+        if small:
+            raise ConfigError(f"{', '.join(small)} must be >= 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide feature width ({self.d})")
         if self.layers < 0:
@@ -192,24 +195,23 @@ def mhca_edge(oracle_edges: Tensor, threed_edges: Tensor, params: dict[str, Tens
     return multi_head_attention(oracle_edges, threed_edges, params, n_heads, layout)
 
 
-def mask_input_matrix(attrs: list[InstanceAttributes], layout: Segments) -> np.ndarray:
+def mask_input_matrix(means: np.ndarray, layout: Segments) -> np.ndarray:
     """Rows cat(mu_i - mu_j, ||mu_i - mu_j||), 4 wide, for every ordered pair
     (i, j) of instances in the same scene, diagonal included, in
-    `layout.pairs` order: scene by scene, row-major in (i, j)."""
+    `layout.pairs` order: scene by scene, row-major in (i, j). `means` holds
+    the (K, 3) instance centroids mu."""
     seg, i, j = layout.pairs
-    mus = np.stack([a.mean for a in attrs])
-    diff = mus[layout.starts[seg] + i] - mus[layout.starts[seg] + j]
+    diff = means[layout.starts[seg] + i] - means[layout.starts[seg] + j]
     norm = np.sqrt((diff ** 2).sum(-1, keepdims=True))
     return np.concatenate([diff, norm], axis=-1)
 
 
-def distance_mask(attrs: list[InstanceAttributes], params: dict[str, Tensor],
-                  layout: Segments) -> Tensor:
+def distance_mask(means: np.ndarray, params: dict[str, Tensor], layout: Segments) -> Tensor:
     """Learned scalar mask per ordered pair of instances in the same scene:
     a (P, 1) column, one value per pair in `layout.pairs` order, as
     `attention` reads it.
     """
-    x = Tensor(mask_input_matrix(attrs, layout))
+    x = Tensor(mask_input_matrix(means, layout))
     h = ad.relu(ad.linear(x, params["w1"], params["b1"]))
     return ad.linear(h, params["w2"], params["b2"])
 
@@ -244,19 +246,24 @@ def fat_gnn_layer(state: GraphState, params: dict[str, Tensor],
 
 @dataclass
 class PreparedScene:
-    """Constant arrays of a packed batch of scenes, shared by every forward pass.
+    """Constant arrays of a packed batch of scenes: the one batch type of
+    training and prediction, shared by every forward pass.
 
     K, E and P count the node, edge and point rows of all the batch's
     scenes, scene by scene; `subj` and `obj` index the packed node rows, and
     every run of rows is a `Segments` layout. One scene is a batch of one.
+    `text` holds the text embedding of each ground-truth term, in
+    `relation_terms` order scene by scene, for the joint loss; prediction
+    leaves it None.
     """
 
     points: np.ndarray            # (P, 3) the instances' points, stacked
-    attrs: list[InstanceAttributes]
+    means: np.ndarray             # (K, 3) the instances' centroids
     subj: np.ndarray
     obj: np.ndarray
     descriptors: np.ndarray       # (E, 11)
     visual: np.ndarray | None     # None unless every scene has visual features
+    text: np.ndarray | None       # (M, d_emb) None unless every scene has them
     gt_objects: np.ndarray        # (K,)
     gt_pred_rows: np.ndarray      # (E, N_rel)
     nodes: Segments               # node rows per scene
@@ -273,11 +280,12 @@ def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
     subj, obj = pair_index_arrays(k)
     return PreparedScene(
         points=np.concatenate([inst.points for inst in sample.instances]),
-        attrs=attrs,
+        means=np.stack([a.mean for a in attrs]),
         subj=subj,
         obj=obj,
         descriptors=encoders.descriptor_matrix(attrs, subj, obj),
         visual=sample.visual_features,
+        text=None,
         gt_objects=np.array([inst.gt_class for inst in sample.instances], dtype=np.intp),
         gt_pred_rows=predicate_gt_rows(sample),
         nodes=Segments([k]),
@@ -294,14 +302,19 @@ def pack_scenes(scenes: list[PreparedScene]) -> PreparedScene:
     if len(scenes) == 1:
         return scenes[0]
     nodes = Segments(np.concatenate([s.nodes.lengths for s in scenes]))
-    visual = [s.visual for s in scenes]
+
+    def rows_of_all(field: str) -> np.ndarray | None:
+        arrays = [getattr(s, field) for s in scenes]
+        return None if any(a is None for a in arrays) else np.concatenate(arrays)
+
     return PreparedScene(
         points=np.concatenate([s.points for s in scenes]),
-        attrs=[a for s in scenes for a in s.attrs],
+        means=np.concatenate([s.means for s in scenes]),
         subj=np.concatenate([s.subj + off for s, off in zip(scenes, nodes.starts)]),
         obj=np.concatenate([s.obj + off for s, off in zip(scenes, nodes.starts)]),
         descriptors=np.concatenate([s.descriptors for s in scenes]),
-        visual=None if any(v is None for v in visual) else np.concatenate(visual),
+        visual=rows_of_all("visual"),
+        text=rows_of_all("text"),
         gt_objects=np.concatenate([s.gt_objects for s in scenes]),
         gt_pred_rows=np.concatenate([s.gt_pred_rows for s in scenes]),
         nodes=nodes,
@@ -355,7 +368,7 @@ def forward_scene(model: ModelState, scene: PreparedScene, mode: str = "joint") 
         # the oracle consumes the same geometric edge features; gradients from
         # its losses flow back into the shared edge encoder
         state_or = GraphState(nodes=nodes0_or, edges=state_3d.edges)
-        mask = distance_mask(scene.attrs, model.subtree("mask_mlp"), scene.nodes)
+        mask = distance_mask(scene.means, model.subtree("mask_mlp"), scene.nodes)
 
     for layer in range(cfg.layers):
         if joint:

@@ -181,6 +181,22 @@ def fits_type(value, hint) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
+def field_problems(cls, values: dict, complete: bool) -> list[str]:
+    """One message per key of `values` that names no field of the dataclass
+    `cls` or holds a value that does not fit the field's type hint (see
+    `fits_type`), and, when `complete`, one per field that `values` leaves out."""
+    hints = typing.get_type_hints(cls)
+    problems = [f"missing key {k!r}" for k in hints if complete and k not in values]
+    for key, value in values.items():
+        if key not in hints:
+            problems.append(f"unknown key {key!r}")
+        elif not fits_type(value, hints[key]):
+            hint = hints[key]
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            problems.append(f"{key} must be of type {name}, got {value!r}")
+    return problems
+
+
 def _typed(value, kind: type, what: str, where: str):
     """`value` when it has JSON type `kind` (see `fits_type`)."""
     if not fits_type(value, kind):

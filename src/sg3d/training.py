@@ -14,11 +14,12 @@ negative-cosine alignment of pre-reasoning node features.
 The baseline mode trains the 3D branch alone with only the first two
 3D terms.
 
-A mini-batch trains as one packed graph (`pack_train_scenes`): one tape,
-one forward and one backward per batch, then one optimizer step. Each
-loss term is a per-scene mean (`autodiff.segment_mean`), so the batch
-objective is the sum of its scenes' losses and every scene's terms are
-logged as if it had run alone.
+A mini-batch trains as one packed graph, the `PreparedScene` that
+`pack_scenes` makes of its scenes (`build_train_scene` adds the text rows
+the joint loss reads): one tape, one forward and one backward per batch,
+then one optimizer step. Each loss term is a per-scene mean
+(`autodiff.segment_mean`), so the batch objective is the sum of its
+scenes' losses and every scene's terms are logged as if it had run alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .autodiff import Segments, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
 from .reasoning import (ForwardResult, ModelConfig, ModelState, PreparedScene, forward_scene,
                         pack_scenes, prepare_scene)
-from .scene import SceneGraphSample, Vocabulary, fits_type, relation_terms
+from .scene import SceneGraphSample, Vocabulary, field_problems, fits_type, relation_terms
 from .synthetic import EmbeddingProvider
 
 
@@ -103,26 +104,23 @@ def loss_node_init(threed_nodes: Tensor, oracle_nodes: Tensor, rows: Segments) -
     return ad.neg(ad.segment_mean(cos, rows))
 
 
-@dataclass
-class LossParts:
-    obj_3d: Tensor
-    pred_3d: Tensor
-    obj_oracle: Tensor | None = None
-    pred_oracle: Tensor | None = None
-    tri_emb: Tensor | None = None      # the joint mode's auxiliary terms:
-    node_init: Tensor | None = None    # both or neither
+# every term's name, as `scene_loss` returns it and `train` logs it; the
+# joint mode adds the last four
+TERM_KEYS = ("loss_total", "loss_obj_3d", "loss_pred_3d", "loss_obj_or", "loss_pred_or",
+             "loss_tri", "loss_node")
 
 
-def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
-    obj = parts.obj_3d
-    if parts.obj_oracle is not None:
-        obj = ad.add(obj, parts.obj_oracle)
-    pred = parts.pred_3d
-    if parts.pred_oracle is not None:
-        pred = ad.add(pred, parts.pred_oracle)
+def total_loss(terms: dict[str, Tensor], weights: LossWeights) -> Tensor:
+    """The weighted objective of the terms (see `TERM_KEYS`): the 3D terms,
+    plus the oracle and auxiliary terms when `terms` holds them."""
+    obj, pred = terms["loss_obj_3d"], terms["loss_pred_3d"]
+    joint = "loss_obj_or" in terms
+    if joint:
+        obj = ad.add(obj, terms["loss_obj_or"])
+        pred = ad.add(pred, terms["loss_pred_or"])
     total = ad.add(ad.mul(obj, weights.obj), ad.mul(pred, weights.pred))
-    if parts.tri_emb is not None:
-        aux = ad.add(parts.tri_emb, parts.node_init)
+    if joint:
+        aux = ad.add(terms["loss_tri"], terms["loss_node"])
         total = ad.add(total, ad.mul(aux, weights.aux))
     return total
 
@@ -224,76 +222,46 @@ class AdamW:
 # packed-batch loss assembly
 
 
-@dataclass
-class TrainScene:
-    """A packed batch of training scenes (one scene is a batch of one)."""
-
-    prepared: PreparedScene
-    tri_pair_indices: np.ndarray   # (M,) packed edge row per gt term
-    tri_text_rows: np.ndarray      # (M, d_emb)
-    terms: Segments                # gt terms per scene
-
-
-def build_train_scene(sample: SceneGraphSample, provider: EmbeddingProvider | None) -> TrainScene:
+def build_train_scene(sample: SceneGraphSample, provider: EmbeddingProvider | None) -> PreparedScene:
+    """`prepare_scene`, with the text rows of the ground-truth terms when a
+    provider is given."""
     prepared = prepare_scene(sample)
-    if provider is None:
-        return TrainScene(prepared, np.zeros(0, dtype=np.intp), np.zeros((0, 0)), Segments([0]))
-    pair, subj, pred, obj = relation_terms(prepared.gt_pred_rows, prepared.gt_objects)
-    text = provider.text_embedding_rows(np.stack([subj, pred, obj], axis=1).tolist())
-    return TrainScene(prepared=prepared, tri_pair_indices=pair, tri_text_rows=text,
-                      terms=Segments([len(pair)]))
+    if provider is not None:
+        _, subj, pred, obj = relation_terms(prepared.gt_pred_rows, prepared.gt_objects)
+        prepared.text = provider.text_embedding_rows(np.stack([subj, pred, obj], axis=1).tolist())
+    return prepared
 
 
-def pack_train_scenes(scenes: list[TrainScene]) -> TrainScene:
-    """One packed batch of the scenes, in list order (see `pack_scenes`)."""
-    if len(scenes) == 1:
-        return scenes[0]
-    offsets = np.cumsum([0] + [ts.prepared.edges.total for ts in scenes[:-1]])
-    return TrainScene(
-        prepared=pack_scenes([ts.prepared for ts in scenes]),
-        tri_pair_indices=np.concatenate([ts.tri_pair_indices + off
-                                         for ts, off in zip(scenes, offsets)]),
-        tri_text_rows=np.concatenate([ts.tri_text_rows for ts in scenes]),
-        terms=Segments(np.concatenate([ts.terms.lengths for ts in scenes])),
-    )
-
-
-def scene_loss(model: ModelState, ts: TrainScene, weights: LossWeights,
+def scene_loss(model: ModelState, p: PreparedScene, weights: LossWeights,
                vlsat: bool) -> tuple[Tensor, dict[str, np.ndarray | None]]:
     """Forward a packed batch and assemble its objective, the sum of its
     scenes' weighted losses.
 
-    Also returns every loss term per scene, a (scenes,) array, or None for
-    a term the mode leaves out.
+    Also returns every loss term of `TERM_KEYS` per scene, a (scenes,)
+    array, or None for a term the mode leaves out.
     """
     mode = "joint" if vlsat else "3d"
-    p = ts.prepared
-    if vlsat and ts.tri_text_rows.shape[1] != model.cfg.d_emb:
+    if vlsat and (p.text is None or p.text.shape[1] != model.cfg.d_emb):
         raise DataError(f"scenes {', '.join(p.scene_ids)}: text embeddings missing for the joint loss "
-                        f"(got shape {ts.tri_text_rows.shape}); build them with an embedding provider")
+                        f"(width {model.cfg.d_emb}); build them with an embedding provider")
     result: ForwardResult = forward_scene(model, p, mode)
-    parts = LossParts(
-        obj_3d=loss_obj(result.obj_logits_3d, p.gt_objects, p.nodes),
-        pred_3d=loss_pred(result.pred_logits_3d, p.gt_pred_rows, p.edges),
-    )
-    if vlsat:
-        parts.obj_oracle = loss_obj(result.obj_logits_oracle, p.gt_objects, p.nodes)
-        parts.pred_oracle = loss_pred(result.pred_logits_oracle, p.gt_pred_rows, p.edges)
-        fused = ad.gather_rows(result.fused_triplets, ts.tri_pair_indices)
-        parts.tri_emb = loss_tri_emb(fused, ts.tri_text_rows, ts.terms)
-        parts.node_init = loss_node_init(result.nodes0_3d, result.nodes0_oracle, p.nodes)
-    per_scene = total_loss(parts, weights)
     terms = {
-        "loss_obj_3d": parts.obj_3d,
-        "loss_pred_3d": parts.pred_3d,
-        "loss_obj_or": parts.obj_oracle,
-        "loss_pred_or": parts.pred_oracle,
-        "loss_tri": parts.tri_emb,
-        "loss_node": parts.node_init,
-        "loss_total": per_scene,
+        "loss_obj_3d": loss_obj(result.obj_logits_3d, p.gt_objects, p.nodes),
+        "loss_pred_3d": loss_pred(result.pred_logits_3d, p.gt_pred_rows, p.edges),
     }
-    values = {k: None if t is None else t.data for k, t in terms.items()}
-    return ad.tsum(per_scene), values
+    if vlsat:
+        # the ground-truth terms, scene by scene, then pair, then predicate:
+        # the order of `p.text`
+        pair, _ = np.nonzero(p.gt_pred_rows)
+        per_scene = Segments(np.bincount(p.edges.seg[pair], minlength=p.edges.count))
+        terms["loss_obj_or"] = loss_obj(result.obj_logits_oracle, p.gt_objects, p.nodes)
+        terms["loss_pred_or"] = loss_pred(result.pred_logits_oracle, p.gt_pred_rows, p.edges)
+        fused = ad.gather_rows(result.fused_triplets, pair)
+        terms["loss_tri"] = loss_tri_emb(fused, p.text, per_scene)
+        terms["loss_node"] = loss_node_init(result.nodes0_3d, result.nodes0_oracle, p.nodes)
+    terms["loss_total"] = total_loss(terms, weights)
+    values = {k: terms[k].data if k in terms else None for k in TERM_KEYS}
+    return ad.tsum(terms["loss_total"]), values
 
 
 # ---------------------------------------------------------------------------
@@ -377,34 +345,32 @@ def train(samples: list[SceneGraphSample], vocab: Vocabulary,
 
     prepared = [build_train_scene(s, provider if vlsat else None) for s in scenes]
     logs: list[dict] = []
-    term_keys = ("loss_total", "loss_obj_3d", "loss_pred_3d", "loss_obj_or",
-                 "loss_pred_or", "loss_tri", "loss_node")
 
     end_epoch = train_cfg.epochs if stop_epoch is None else min(stop_epoch, train_cfg.epochs)
     for epoch in range(start_epoch, end_epoch):
         lr = cosine_lr(train_cfg.base_lr, epoch, train_cfg.epochs)
         order = _epoch_rng(train_cfg.seed, epoch).permutation(len(prepared))
-        sums = {k: 0.0 for k in term_keys}
-        have = {k: 0 for k in term_keys}
+        sums = {k: 0.0 for k in TERM_KEYS}
+        have = {k: 0 for k in TERM_KEYS}
         for batch_no, batch_start in enumerate(range(0, len(order), train_cfg.batch_size)):
             batch = order[batch_start:batch_start + train_cfg.batch_size]
-            ts = pack_train_scenes([prepared[i] for i in batch])
+            packed = pack_scenes([prepared[i] for i in batch])
             optimizer.zero_grad()
             try:
                 with Tape() as tape:
-                    total, values = scene_loss(model, ts, weights, vlsat)
+                    total, values = scene_loss(model, packed, weights, vlsat)
                     tape.backward(total)
             except NumericError as e:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}, "
-                    f"scenes {', '.join(ts.prepared.scene_ids)}: {e}") from e
-            for k in term_keys:
+                    f"scenes {', '.join(packed.scene_ids)}: {e}") from e
+            for k in TERM_KEYS:
                 if values[k] is not None:
                     sums[k] += float(values[k].sum())
                     have[k] += len(values[k])
             optimizer.step(lr)
         record = {"epoch": epoch, "lr": lr}
-        for k in term_keys:
+        for k in TERM_KEYS:
             record[k] = (sums[k] / have[k]) if have[k] else None
         logs.append(record)
         if log_hook is not None:
@@ -433,14 +399,18 @@ def _decode_array(blob: dict, shape: tuple, where: str) -> np.ndarray:
     return arr.reshape(shape).copy()
 
 
-def _config(cls, values, where: str):
-    """`cls` from a checkpoint's config section, which must name every field."""
-    names = {f.name for f in fields(cls)}
-    if not isinstance(values, dict) or set(values) != names:
-        got = sorted(values) if isinstance(values, dict) else type(values).__name__
-        raise DataError(f"checkpoint {where} keys {got} are not those of {cls.__name__}: "
-                        f"{sorted(names)}")
-    return cls(**values)
+def _config(cls, values: dict, where: str):
+    """`cls` from a checkpoint's config section, which must name every field
+    with a value of its type and pass `validate`."""
+    problems = field_problems(cls, values, complete=True)
+    if problems:
+        raise DataError(f"checkpoint {where}: {'; '.join(problems)}")
+    config = cls(**values)
+    try:
+        config.validate()
+    except ConfigError as e:
+        raise DataError(f"checkpoint {where}: {e}") from e
+    return config
 
 
 class Checkpoint:

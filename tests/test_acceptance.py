@@ -23,7 +23,7 @@ from sg3d.reasoning import (ModelConfig, ModelState, distance_mask, forward_scen
                             mhca_node, prepare_scene, _attention_params)
 from sg3d.scene import SceneInstance, compute_attributes
 from sg3d.synthetic import EmbeddingProvider, WorldConfig, generate_dataset
-from sg3d.training import (LossParts, LossWeights, TrainConfig, build_train_scene,
+from sg3d.training import (TERM_KEYS, LossWeights, TrainConfig, build_train_scene,
                            init_classifier_from_embeddings, loss_node_init, loss_obj,
                            loss_pred, loss_tri_emb, scene_loss, total_loss, train)
 
@@ -243,10 +243,10 @@ def test_criterion_5_masking_semantics():
     for trial in range(100):
         pts = [rng.integers(-512, 512, size=(8, 3)).astype(np.float64) / 256.0 for _ in range(3)]
         t = rng.integers(-8, 9, size=3).astype(np.float64)
-        attrs_a = [compute_attributes(SceneInstance(0, p, 0)) for p in pts]
-        attrs_b = [compute_attributes(SceneInstance(0, p + t, 0)) for p in pts]
-        assert np.array_equal(distance_mask(attrs_a, mask_params, Segments([3])).data,
-                              distance_mask(attrs_b, mask_params, Segments([3])).data)
+        means_a = np.stack([compute_attributes(SceneInstance(0, p, 0)).mean for p in pts])
+        means_b = np.stack([compute_attributes(SceneInstance(0, p + t, 0)).mean for p in pts])
+        assert np.array_equal(distance_mask(means_a, mask_params, Segments([3])).data,
+                              distance_mask(means_b, mask_params, Segments([3])).data)
     record(5, "additive -30 mask suppression and mask translation invariance")
 
 
@@ -298,9 +298,8 @@ def test_criterion_6_loss_identities():
     for name in ("fuse.w", "fuse.b"):
         assert np.array_equal(2.0 * g1[name], g4[name])
 
-    parts = LossParts(obj_3d=Tensor(1.0), pred_3d=Tensor(1.0), obj_oracle=Tensor(1.0),
-                      pred_oracle=Tensor(1.0), tri_emb=Tensor(1.0), node_init=Tensor(1.0))
-    assert abs(total_loss(parts, LossWeights(0.1, 1.0, 0.1)).item() - 2.4) <= 1e-12
+    terms = {key: Tensor(1.0) for key in TERM_KEYS if key != "loss_total"}
+    assert abs(total_loss(terms, LossWeights(0.1, 1.0, 0.1)).item() - 2.4) <= 1e-12
     record(6, "loss closed forms and exact lambda-scaling")
 
 

@@ -412,6 +412,10 @@ BAD_CHECKPOINTS = [
     ("optimizer-step-missing", lambda p: p["optimizer"].pop("step")),
     ("next-epoch-float", lambda p: p.update(next_epoch=3.0)),
     ("vocab-hash-missing", lambda p: p.pop("vocab_hash")),
+    ("model-config-d-string", lambda p: p["model_config"].update(d="32")),
+    ("model-config-layers-float", lambda p: p["model_config"].update(layers=1.5)),
+    ("model-config-heads-zero", lambda p: p["model_config"].update(heads=0)),
+    ("train-config-beta1-string", lambda p: p["train_config"].update(beta1="0.9")),
 ]
 
 
@@ -597,21 +601,32 @@ BAD_DUMP_LINES = [
 ]
 
 
-@pytest.mark.parametrize("name,breakage", BAD_DUMP_LINES, ids=[b[0] for b in BAD_DUMP_LINES])
-def test_malformed_dump_exit_code(workspace, tmp_path, caplog, name, breakage):
+# (name, edit of the header record)
+BAD_DUMP_HEADERS = [
+    ("header-n_obj-bool", lambda rec: rec.update(n_obj=True)),
+    ("header-n_rel-bool", lambda rec: rec.update(n_rel=True)),
+]
+
+# (name, line number, breakage): the header is line 1, the first scene line 2
+BAD_DUMPS = ([(name, 2, breakage) for name, breakage in BAD_DUMP_LINES]
+             + [(name, 1, breakage) for name, breakage in BAD_DUMP_HEADERS])
+
+
+@pytest.mark.parametrize("line,breakage", [b[1:] for b in BAD_DUMPS], ids=[b[0] for b in BAD_DUMPS])
+def test_malformed_dump_exit_code(workspace, tmp_path, caplog, line, breakage):
     root, cfg = workspace
     lines = (root / "pred" / "predictions.jsonl").read_text().splitlines()
     if callable(breakage):
-        rec = json.loads(lines[1])
+        rec = json.loads(lines[line - 1])
         breakage(rec)
-        lines[1] = json.dumps(rec)
+        lines[line - 1] = json.dumps(rec)
     else:
-        lines[1] = breakage
+        lines[line - 1] = breakage
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--dump", str(bad), "--manifest", str(root / "ds" / "manifest.json"),
                  "--out", str(tmp_path / "ev")]) == 3
-    assert "line 2" in caplog.text
+    assert f"line {line}" in caplog.text
     assert not (tmp_path / "ev" / "report.json").exists()
 
 
@@ -635,6 +650,12 @@ BAD_DATASET_MANIFESTS = [
     ("world_config-unknown-key", _edited(lambda m: m["world_config"].update(colour=1))),
     ("world_config-missing-key", _edited(lambda m: m["world_config"].pop("seed"))),
     ("world_config-n_obj-string", _edited(lambda m: m["world_config"].update(n_obj="16"))),
+    ("world_config-n_obj-not-the-names",
+     _edited(lambda m: m["world_config"].update(n_obj=len(m["object_names"]) + 3))),
+    ("world_config-n_rel-not-the-names",
+     _edited(lambda m: m["world_config"].update(n_rel=len(m["predicate_names"]) - 1))),
+    ("predicate_train_frequency-short",
+     _edited(lambda m: m.update(predicate_train_frequency=m["predicate_train_frequency"][:-1]))),
 ]
 
 # (id, command, manifest edit); eval reads the manifest named by --manifest
@@ -705,6 +726,12 @@ BAD_CONFIG_FILES = [
     ("base_lr-string", "train", '{"train": {"base_lr": "0.1"}}'),
     ("vlsat-int", "train", '{"train": {"vlsat": 1}}'),
     ("heads-string", "train", '{"model": {"heads": "4"}}'),
+    ("heads-zero", "train", '{"model": {"heads": 0}}'),
+    ("heads-negative", "train", '{"model": {"heads": -1}}'),
+    ("d-zero", "train", '{"model": {"d": 0}}'),
+    ("d-negative", "train", '{"model": {"d": -4, "heads": 2}}'),
+    ("hidden-zero", "train", '{"model": {"hidden": 0}}'),
+    ("d_emb-negative", "train", '{"model": {"d_emb": -1}}'),
     ("seeds-string", "experiment", '{"experiment": {"seeds": "7"}}'),
 ]
 

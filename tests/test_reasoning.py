@@ -168,7 +168,8 @@ class TestDistanceMask:
             "b2": Tensor(np.zeros(1), requires_grad=True),
         }
 
-    def attrs_from(self, rng, k, dyadic=False):
+    def means_from(self, rng, k, dyadic=False):
+        """The (k, 3) centroids of k random instances."""
         out = []
         for _ in range(k):
             if dyadic:
@@ -176,14 +177,14 @@ class TestDistanceMask:
             else:
                 pts = rng.standard_normal((8, 3)) + rng.uniform(-2, 2, 3)
             out.append(compute_attributes(SceneInstance(0, pts, 0)))
-        return out
+        return np.stack([a.mean for a in out])
 
     def test_diagonal_is_mlp_of_zero(self):
         rng = np.random.default_rng(3)
         params = self.mask_params(rng)
-        attrs = self.attrs_from(rng, 3)
-        mask = distance_mask(attrs, params, Segments([3])).data.reshape(3, 3)
-        rows = mask_input_matrix(attrs, Segments([3]))
+        means = self.means_from(rng, 3)
+        mask = distance_mask(means, params, Segments([3])).data.reshape(3, 3)
+        rows = mask_input_matrix(means, Segments([3]))
         assert np.array_equal(rows.reshape(3, 3, 4)[np.arange(3), np.arange(3)], np.zeros((3, 4)))
         zero_out = ad.linear(ad.relu(ad.linear(Tensor(np.zeros((1, 4))), params["w1"], params["b1"])),
                              params["w2"], params["b2"]).data[0, 0]
@@ -194,18 +195,18 @@ class TestDistanceMask:
         params = self.mask_params(rng)
         pts_sets = [rng.integers(-512, 512, size=(8, 3)).astype(np.float64) / 256.0 for _ in range(3)]
         t = rng.integers(-8, 9, size=3).astype(np.float64)
-        attrs_a = [compute_attributes(SceneInstance(0, p, 0)) for p in pts_sets]
-        attrs_b = [compute_attributes(SceneInstance(0, p + t, 0)) for p in pts_sets]
-        assert np.array_equal(distance_mask(attrs_a, params, Segments([3])).data,
-                              distance_mask(attrs_b, params, Segments([3])).data)
+        means_a = np.stack([compute_attributes(SceneInstance(0, p, 0)).mean for p in pts_sets])
+        means_b = np.stack([compute_attributes(SceneInstance(0, p + t, 0)).mean for p in pts_sets])
+        assert np.array_equal(distance_mask(means_a, params, Segments([3])).data,
+                              distance_mask(means_b, params, Segments([3])).data)
 
     def test_zero_weights_bias_beta(self):
         rng = np.random.default_rng(5)
         params = self.mask_params(rng)
         params["w2"].data[:] = 0.0
         params["b2"].data[:] = 3.25
-        attrs = self.attrs_from(rng, 4)
-        assert np.all(distance_mask(attrs, params, Segments([4])).data == 3.25)
+        means = self.means_from(rng, 4)
+        assert np.all(distance_mask(means, params, Segments([4])).data == 3.25)
 
 
 class TestMHCA:

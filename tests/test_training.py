@@ -12,13 +12,12 @@ from sg3d import encoders, reasoning, training
 from sg3d.autodiff import Segments, Tape, Tensor
 from sg3d.cli import predict_dump
 from sg3d.errors import ConfigError, DataError, NumericError
-from sg3d.reasoning import ModelConfig, ModelState, forward_scene
+from sg3d.reasoning import ModelConfig, ModelState, forward_scene, pack_scenes
 from sg3d.synthetic import EmbeddingProvider, WorldConfig, generate_dataset, provider_from_manifest
-from sg3d.training import (AdamW, Checkpoint, LossParts, LossWeights, TrainConfig,
+from sg3d.training import (TERM_KEYS, AdamW, Checkpoint, LossWeights, TrainConfig,
                            _epoch_rng, apply_embedding_init, build_train_scene, cosine_lr,
                            init_classifier_from_embeddings, loss_node_init,
-                           loss_obj, loss_pred, loss_tri_emb, pack_train_scenes, scene_loss,
-                           total_loss, train)
+                           loss_obj, loss_pred, loss_tri_emb, scene_loss, total_loss, train)
 
 from gradcheck import check_params
 from test_encoders import per_instance_encoder
@@ -138,16 +137,13 @@ class TestLossNodeInit:
 
 class TestTotalLoss:
     def test_all_zero(self):
-        parts = LossParts(obj_3d=Tensor(0.0), pred_3d=Tensor(0.0), obj_oracle=Tensor(0.0),
-                          pred_oracle=Tensor(0.0), tri_emb=Tensor(0.0), node_init=Tensor(0.0))
-        assert total_loss(parts, LossWeights()).item() == 0.0
+        terms = {key: Tensor(0.0) for key in TERM_KEYS if key != "loss_total"}
+        assert total_loss(terms, LossWeights()).item() == 0.0
 
     def test_reference_weighting(self):
-        one = lambda: Tensor(1.0)
-        parts = LossParts(obj_3d=one(), pred_3d=one(), obj_oracle=one(),
-                          pred_oracle=one(), tri_emb=one(), node_init=one())
+        terms = {key: Tensor(1.0) for key in TERM_KEYS if key != "loss_total"}
         w = LossWeights(obj=0.1, pred=1.0, aux=0.1)
-        assert abs(total_loss(parts, w).item() - 2.4) <= 1e-12
+        assert abs(total_loss(terms, w).item() - 2.4) <= 1e-12
 
     def test_joint_loss_without_provider_refused(self, monkeypatch):
         # a batch built without an embedding provider has no text rows: the
@@ -157,7 +153,7 @@ class TestTotalLoss:
         samples = [make_sample(rng, k=3), make_sample(rng, k=2)]
         for sample, name in zip(samples, ("s1", "s2")):
             sample.scene_id = name
-        ts = pack_train_scenes([build_train_scene(s, None) for s in samples])
+        ts = pack_scenes([build_train_scene(s, None) for s in samples])
         with monkeypatch.context() as patch:
             patch.setattr(training, "forward_scene", None)
             with pytest.raises(DataError, match="scenes s1, s2: text embeddings missing"):
@@ -573,7 +569,7 @@ def test_tape_ops_per_scene_guard():
         # a packed batch of 8 scenes records one scene's ops plus at most a
         # small constant; an op per scene would add 7 or more
         one = len(tape.records)
-        batch = pack_train_scenes([default_scene(rng, k) for k in (2, 9, 3, 5, 4, 8, 6, 7)])
+        batch = pack_scenes([default_scene(rng, k) for k in (2, 9, 3, 5, 4, 8, 6, 7)])
         with Tape() as tape:
             scene_loss(model, batch, LossWeights(), vlsat)
             assert len(tape.records) <= one + BATCH_EXTRA_OPS
@@ -622,8 +618,8 @@ def test_every_autodiff_op_runs_in_the_model(monkeypatch):
     rng = np.random.default_rng(43)
     model = ModelState(ModelConfig(joint=True))
     samples = [make_sample(rng, k=k, n_rel=13, d_vis=34) for k in (1, 3, 3, 5)]
-    batch = pack_train_scenes([build_train_scene(s, EmbeddingProvider(0, 16, 13, 32))
-                               for s in samples])
+    batch = pack_scenes([build_train_scene(s, EmbeddingProvider(0, 16, 13, 32))
+                         for s in samples])
     for vlsat in (True, False):
         with Tape() as tape:
             total, _ = scene_loss(model, batch, LossWeights(), vlsat)
@@ -668,7 +664,7 @@ def test_packed_batch_matches_per_scene(vlsat, scenes, seed):
     rng = np.random.default_rng(seed)
     model = PACKED_MODEL
     alone = [batch_scene(rng, k, relations) for k, relations in scenes]
-    batch = pack_train_scenes(alone)
+    batch = pack_scenes(alone)
     total, values, grads = grads_and_values(model, batch, vlsat)
     runs = [grads_and_values(model, ts, vlsat) for ts in alone]
     summed = sum(run[0] for run in runs)
@@ -683,7 +679,7 @@ def test_packed_batch_matches_per_scene(vlsat, scenes, seed):
         want = np.concatenate([run[1][key] for run in runs])
         assert np.all(np.abs(per_scene - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), key
     if vlsat:
-        joint = forward_scene(model, batch.prepared, "joint")
-        only3d = forward_scene(model, batch.prepared, "3d")
+        joint = forward_scene(model, batch, "joint")
+        only3d = forward_scene(model, batch, "3d")
         assert np.array_equal(joint.obj_logits_3d.data, only3d.obj_logits_3d.data)
         assert np.array_equal(joint.pred_logits_3d.data, only3d.pred_logits_3d.data)
