@@ -14,9 +14,8 @@ import logging
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import autodiff as ad
@@ -88,13 +87,14 @@ def model_config(cfg: dict, manifest: dict) -> ModelConfig:
         raise ConfigError("model config: joint follows the training mode (--vlsat / --no-vlsat), "
                           "not the config file")
     wc = manifest["world_config"]
-    values.setdefault("n_obj", wc["n_obj"])
-    values.setdefault("n_rel", wc["n_rel"])
-    values.setdefault("d_vis", wc["d_vis"])
-    values.setdefault("d_emb", wc["d_emb"])
+    sizes = ("n_obj", "n_rel", "d_vis", "d_emb")
+    for name in sizes:
+        values.setdefault(name, wc[name])
     mc = _build_dataclass(ModelConfig, values, "model config")
-    if mc.n_obj != wc["n_obj"] or mc.n_rel != wc["n_rel"]:
-        raise ConfigError("model vocabulary sizes disagree with the dataset manifest")
+    wrong = [f"{name} {getattr(mc, name)} (the dataset's is {wc[name]})"
+             for name in sizes if getattr(mc, name) != wc[name]]
+    if wrong:
+        raise ConfigError(f"model config disagrees with the dataset manifest: {', '.join(wrong)}")
     mc.validate()
     return mc
 
@@ -255,7 +255,7 @@ def predict_dump(model: ModelState, samples, vocab_hash: str, cfg_hash: str) -> 
                 object_probs=object_probs[node0:node0 + p.nodes.total],
                 predicate_probs=predicate_probs[edge0:edge0 + p.edges.total],
                 gt_objects=p.gt_objects,
-                gt_predicate_rows=p.gt_pred_rows.astype(np.uint8))
+                gt_predicate_rows=p.gt_predicate_rows)
     return PredictionDump(scenes=scenes, n_obj=model.cfg.n_obj, n_rel=model.cfg.n_rel,
                           vocab_hash=vocab_hash, config_hash=cfg_hash)
 
@@ -280,13 +280,25 @@ def eval_stage(dump: PredictionDump, manifest_path: Path, ec: EvalConfig, out: P
     manifest = _read_json(manifest_path, "manifest")
     try:
         vocab_hash = manifest["vocab_hash"]
-        train_triplets = {tuple(t) for t in manifest["train_triplets"]}
-        splits = {name: set(v) for name, v in manifest["predicate_splits"].items()}
-    except (KeyError, TypeError, AttributeError) as e:
+        triplets = manifest["train_triplets"]
+        train_triplets = set(map(tuple, triplets))
+        splits = manifest["predicate_splits"]
+    except (KeyError, TypeError) as e:
         raise DataError(f"manifest {manifest_path}: missing or malformed field ({e!r})") from e
+    # checked on the set `evaluate` reads, in bulk (a manifest holds thousands
+    # of triples); an entry that is a string or an object gives str items
+    if (not isinstance(triplets, list) or set(map(len, train_triplets)) - {3}
+            or set(map(type, chain.from_iterable(train_triplets))) - {int}):
+        raise DataError(f"manifest {manifest_path}: train_triplets must be a list of "
+                        f"[subject, predicate, object] integer triples")
+    if not isinstance(splits, dict) or not all(
+            fits_type(v, list[int]) and all(0 <= p < dump.n_rel for p in v) for v in splits.values()):
+        raise DataError(f"manifest {manifest_path}: predicate_splits must map each split name to "
+                        f"a list of predicate classes in [0, {dump.n_rel})")
     if dump.vocab_hash and dump.vocab_hash != vocab_hash:
         raise DataError("dump vocabulary hash does not match the manifest")
-    report = evaluate(dump, predicate_splits=splits, train_triplets=train_triplets, cfg=ec)
+    report = evaluate(dump, predicate_splits={name: set(v) for name, v in splits.items()},
+                      train_triplets=train_triplets, cfg=ec)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report | {"tool_version": __version__},
                                                 sort_keys=True, indent=1), encoding="utf-8")

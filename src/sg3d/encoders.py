@@ -71,11 +71,6 @@ def encode_nodes_3d(points: np.ndarray, instances: Segments, params: dict[str, T
     return ad.linear(ad.segment_max(h, instances), params["w3"], params["b3"])
 
 
-def edge_descriptor(attr_i: InstanceAttributes, attr_j: InstanceAttributes) -> np.ndarray:
-    """Raw 11-dim pair descriptor; exactly antisymmetric under (i, j) swap."""
-    return descriptor_matrix([attr_i, attr_j], [0], [1])[0]
-
-
 def descriptor_matrix(attrs: list[InstanceAttributes], subj, obj) -> np.ndarray:
     """(E, 11) descriptors of the ordered pairs (subj[e], obj[e]), in their order.
 

@@ -31,7 +31,7 @@ from . import encoders
 from .autodiff import Segments, Tensor
 from .encoders import glorot
 from .errors import ConfigError, DataError
-from .scene import SceneGraphSample, compute_attributes, pair_index_arrays, predicate_gt_rows
+from .scene import SceneGraphSample, compute_attributes, pair_index_arrays
 
 
 @dataclass
@@ -252,9 +252,10 @@ class PreparedScene:
     K, E and P count the node, edge and point rows of all the batch's
     scenes, scene by scene; `subj` and `obj` index the packed node rows, and
     every run of rows is a `Segments` layout. One scene is a batch of one.
-    `text` holds the text embedding of each ground-truth term, in
-    `relation_terms` order scene by scene, for the joint loss; prediction
-    leaves it None.
+    `gt_predicate_rows` are the scenes' stored uint8 ground-truth rows (a
+    batch of one shares its sample's array). `text` holds the text embedding
+    of each ground-truth term, in `relation_terms` order scene by scene, for
+    the joint loss; prediction leaves it None.
     """
 
     points: np.ndarray            # (P, 3) the instances' points, stacked
@@ -265,7 +266,7 @@ class PreparedScene:
     visual: np.ndarray | None     # None unless every scene has visual features
     text: np.ndarray | None       # (M, d_emb) None unless every scene has them
     gt_objects: np.ndarray        # (K,)
-    gt_pred_rows: np.ndarray      # (E, N_rel)
+    gt_predicate_rows: np.ndarray  # (E, N_rel) uint8, the scenes' ground truth
     nodes: Segments               # node rows per scene
     edges: Segments               # edge rows per scene
     instances: Segments           # point rows per node
@@ -287,7 +288,7 @@ def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
         visual=sample.visual_features,
         text=None,
         gt_objects=np.array([inst.gt_class for inst in sample.instances], dtype=np.intp),
-        gt_pred_rows=predicate_gt_rows(sample),
+        gt_predicate_rows=sample.gt_predicate_rows,
         nodes=Segments([k]),
         edges=Segments([len(subj)]),
         instances=Segments([len(inst.points) for inst in sample.instances]),
@@ -316,7 +317,7 @@ def pack_scenes(scenes: list[PreparedScene]) -> PreparedScene:
         visual=rows_of_all("visual"),
         text=rows_of_all("text"),
         gt_objects=np.concatenate([s.gt_objects for s in scenes]),
-        gt_pred_rows=np.concatenate([s.gt_pred_rows for s in scenes]),
+        gt_predicate_rows=np.concatenate([s.gt_predicate_rows for s in scenes]),
         nodes=nodes,
         edges=Segments(np.concatenate([s.edges.lengths for s in scenes])),
         instances=Segments(np.concatenate([s.instances.lengths for s in scenes])),

@@ -1,6 +1,7 @@
 """Scene data model: instances, ground-truth graphs, vocabulary, file I/O,
 and the canonical pair layout (`pair_index_arrays`, `relation_terms`) that
-every other module reads.
+every other module reads. Ground truth is stored in that layout from parse
+to metrics: one (E, N_rel) uint8 row per ordered instance pair.
 
 Scene files are UTF-8 JSON-lines, one scene per line:
 
@@ -56,12 +57,13 @@ class InstanceAttributes:
 
 @dataclass
 class SceneGraphSample:
-    """One scene: instances, multi-label predicate matrix, optional visuals."""
+    """One scene: instances, multi-label predicate rows (one per ordered pair,
+    in `pair_index_arrays` order), optional visuals."""
 
     scene_id: str
     split: str
     instances: list[SceneInstance]
-    predicate_gt: np.ndarray  # (K, K, N_rel) uint8, zero diagonal
+    gt_predicate_rows: np.ndarray  # (E, N_rel) uint8, E = K(K-1)
     visual_features: np.ndarray | None = None  # (K, D_vis)
 
     @property
@@ -111,12 +113,7 @@ def compute_attributes(instance: SceneInstance) -> InstanceAttributes:
 def pair_index_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(subject, object) indices of the K(K-1) ordered pairs i != j, by subject,
     then by object: the canonical pair order every module reads."""
-    return np.nonzero(~np.eye(k, dtype=bool))
-
-
-def ordered_pairs(k: int) -> list[tuple[int, int]]:
-    """`pair_index_arrays(k)` as a list of (i, j) tuples."""
-    return list(zip(*(a.tolist() for a in pair_index_arrays(k))))
+    return np.nonzero(np.arange(k)[:, None] != np.arange(k))
 
 
 def relation_terms(gt_rows: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -125,13 +122,6 @@ def relation_terms(gt_rows: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray
     pair, pred = np.nonzero(gt_rows)
     subj, obj = pair_index_arrays(len(classes))
     return pair, classes[subj[pair]], pred, classes[obj[pair]]
-
-
-def predicate_gt_rows(sample: SceneGraphSample) -> np.ndarray:
-    """Flatten the (K,K,N_rel) gt matrix to (E, N_rel) in canonical pair order."""
-    k = sample.k
-    subj, obj = pair_index_arrays(k)
-    return sample.predicate_gt[subj, obj, :].astype(np.float64)
 
 
 def split_predicates(vocab: Vocabulary) -> dict[str, set[int]]:
@@ -259,7 +249,10 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
         raise DataError(f"{where}: scene has no instances")
     id_to_index = {inst.instance_id: idx for idx, inst in enumerate(instances)}
 
-    gt = np.zeros((k, k, vocab.n_rel), dtype=np.uint8)
+    pair_row = np.zeros((k, k), dtype=np.intp)
+    pair_row[pair_index_arrays(k)] = np.arange(k * (k - 1))
+    pair_row = pair_row.tolist()
+    gt = np.zeros((k * (k - 1), vocab.n_rel), dtype=np.uint8)
     for rel in _typed(record["relations"], list, "relations", where):
         _check_fields(rel, RELATION_FIELDS, where, strict)
         sid = _typed(rel["subject_id"], int, "relation subject_id", where)
@@ -268,11 +261,12 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
             raise DataError(f"{where}: relation references unknown instance id {sid if sid not in id_to_index else oid}")
         if sid == oid:
             raise DataError(f"{where}: self-relation on instance {sid}")
+        row = pair_row[id_to_index[sid]][id_to_index[oid]]
         for p in _typed(rel["predicates"], list, "relation predicates", where):
             p = _typed(p, int, "predicate index", where)
             if not 0 <= p < vocab.n_rel:
                 raise DataError(f"{where}: predicate index {p} out of range [0, {vocab.n_rel})")
-            gt[id_to_index[sid], id_to_index[oid], p] = 1
+            gt[row, p] = 1
 
     visual = None
     if record.get("visual_features") is not None:
@@ -283,7 +277,7 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
             raise DataError(f"{where}: visual_features must be finite")
 
     return SceneGraphSample(scene_id=scene_id, split=split, instances=instances,
-                            predicate_gt=gt, visual_features=visual)
+                            gt_predicate_rows=gt, visual_features=visual)
 
 
 def load_scene_file(path, vocab: Vocabulary, strict: bool = True,
@@ -317,15 +311,14 @@ def load_scene_file(path, vocab: Vocabulary, strict: bool = True,
 
 
 def scene_to_record(sample: SceneGraphSample) -> dict:
-    relations = []
-    for i, j in ordered_pairs(sample.k):
-        preds = np.nonzero(sample.predicate_gt[i, j])[0]
-        if preds.size:
-            relations.append({
-                "subject_id": sample.instances[i].instance_id,
-                "object_id": sample.instances[j].instance_id,
-                "predicates": [int(p) for p in preds],
-            })
+    """The scene-file record: one relation per pair row with any predicate."""
+    ids = np.array([inst.instance_id for inst in sample.instances])
+    subj, obj = pair_index_arrays(sample.k)
+    pair, pred = np.nonzero(sample.gt_predicate_rows)
+    pairs, first = np.unique(pair, return_index=True)
+    relations = [{"subject_id": s, "object_id": o, "predicates": p.tolist()}
+                 for s, o, p in zip(ids[subj[pairs]].tolist(), ids[obj[pairs]].tolist(),
+                                    np.split(pred, first[1:]))]
     record = {
         "scene_id": sample.scene_id,
         "split": sample.split,

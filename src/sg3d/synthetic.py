@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .scene import (SceneGraphSample, SceneInstance, Vocabulary, compute_attributes,
-                    pair_index_arrays, predicate_gt_rows, relation_terms, split_predicates)
+                    pair_index_arrays, relation_terms, split_predicates)
 
 log = logging.getLogger("sg3d")
 
@@ -260,8 +260,7 @@ def _predicate_rule_keys(n_rel: int) -> list[str]:
 
 
 def _predicate_names(cfg: WorldConfig) -> list[str]:
-    if cfg.n_rel == len(DEFAULT_PREDICATES):
-        return list(DEFAULT_PREDICATES)
+    """The rule keys, a repeat suffixed by its count; 13 give `DEFAULT_PREDICATES`."""
     keys = _predicate_rule_keys(cfg.n_rel)
     seen: dict[str, int] = {}
     names = []
@@ -274,13 +273,16 @@ def _predicate_names(cfg: WorldConfig) -> list[str]:
 
 @dataclass
 class _RawScene:
+    """A generated scene before thinning; `satisfied` marks the (pair,
+    predicate) terms its rules accept, one row per ordered pair."""
+
     scene_id: str
     split: str
     instances: list[SceneInstance]
     attrs: list
     tags: np.ndarray       # (K,) bool
     latents: np.ndarray    # (K, d_vis)
-    satisfied: np.ndarray  # (K, K, n_rel) bool
+    satisfied: np.ndarray  # (E, n_rel) bool
     split_index: int = -1
     visual: np.ndarray | None = None
 
@@ -318,18 +320,14 @@ def _generate_geometry(cfg: WorldConfig, provider: EmbeddingProvider, split: str
 
     return _RawScene(scene_id=f"{split}_{index:05d}", split=split, instances=instances,
                      attrs=attrs, tags=tags, latents=latents,
-                     satisfied=np.zeros((k, k, cfg.n_rel), dtype=bool))
+                     satisfied=np.zeros((k * (k - 1), cfg.n_rel), dtype=bool))
 
 
 def _scene_scale(scenes: list[_RawScene]) -> float:
-    dists = []
-    for sc in scenes[: min(len(scenes), 40)]:
-        mus = np.stack([a.mean for a in sc.attrs])
-        diffs = mus[:, None, :] - mus[None, :, :]
-        d = np.sqrt((diffs ** 2).sum(-1))
-        iu = np.triu_indices(len(sc.attrs), k=1)
-        dists.extend(d[iu].tolist())
-    return float(np.median(dists)) if dists else 1.0
+    """Median centroid distance over the pairs of the first 40 scenes; each
+    distance counts in both directions, which leaves the median as it is."""
+    dists = np.concatenate([np.zeros(0)] + [_pair_stats(sc)["near"] for sc in scenes[:40]])
+    return float(np.median(dists)) if dists.size else 1.0
 
 
 # per-pair decision statistics of the geometric rules; a rule fires when its
@@ -342,26 +340,26 @@ GEOM_RULES = {
 
 
 def _pair_stats(scene: _RawScene) -> dict[str, np.ndarray]:
+    """Every rule statistic, one value per ordered pair."""
+    subj, obj = pair_index_arrays(len(scene.instances))
     mus = np.stack([a.mean for a in scene.attrs])
     log_v = np.log(np.array([a.volume for a in scene.attrs]))
     log_h = np.log(np.array([a.bbox_size[2] for a in scene.attrs]))
-    diff = mus[:, None, :] - mus[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(-1))
-    dv = log_v[:, None] - log_v[None, :]
-    dh = log_h[:, None] - log_h[None, :]
+    diff = mus[subj] - mus[obj]
+    dv = log_v[subj] - log_v[obj]
+    dh = log_h[subj] - log_h[obj]
     return {
-        "near": dist,
-        "left_of": -diff[:, :, 0],
-        "right_of": diff[:, :, 0],
-        "ahead_of": -diff[:, :, 1],
-        "behind_of": diff[:, :, 1],
-        "above": diff[:, :, 2],
-        "below": -diff[:, :, 2],
+        "near": np.sqrt((diff ** 2).sum(-1)),
+        "left_of": -diff[:, 0],
+        "right_of": diff[:, 0],
+        "ahead_of": -diff[:, 1],
+        "behind_of": diff[:, 1],
+        "above": diff[:, 2],
+        "below": -diff[:, 2],
         "larger_than": dv,
         "smaller_than": -dv,
         "taller_than": dh,
         "similar_size": np.abs(dv),
-        "_distance": dist,
     }
 
 
@@ -375,10 +373,8 @@ def _calibrate_thresholds(cfg: WorldConfig, train_scenes: list[_RawScene],
     pooled: dict[str, list[np.ndarray]] = {k: [] for k in GEOM_RULES}
     for scene in train_scenes:
         stats = _pair_stats(scene)
-        k = len(scene.instances)
-        off_diag = ~np.eye(k, dtype=bool)
         for name in GEOM_RULES:
-            pooled[name].append(stats[name][off_diag])
+            pooled[name].append(stats[name])
     pooled_arr = {name: np.concatenate(vals) for name, vals in pooled.items()}
 
     per_predicate = {}
@@ -400,32 +396,30 @@ def _calibrate_thresholds(cfg: WorldConfig, train_scenes: list[_RawScene],
 
 def _apply_rules(cfg: WorldConfig, scene: _RawScene, thresholds: dict,
                  accessory_pairs: list[tuple[int, int]]) -> None:
-    k = len(scene.instances)
+    subj, obj = pair_index_arrays(len(scene.instances))
     classes = np.array([inst.gt_class for inst in scene.instances])
     stats = _pair_stats(scene)
     keys = _predicate_rule_keys(cfg.n_rel)
 
-    paired = np.zeros((k, k), dtype=bool)
-    pair_ok = stats["_distance"] < thresholds["pair_distance"]
+    paired = np.zeros(len(subj), dtype=bool)
+    pair_ok = stats["near"] < thresholds["pair_distance"]
     for s_cls, o_cls in accessory_pairs:
-        paired |= (classes[:, None] == s_cls) & (classes[None, :] == o_cls) & pair_ok
-    same_tag = scene.tags[:, None] & scene.tags[None, :]
+        paired |= (classes[subj] == s_cls) & (classes[obj] == o_cls) & pair_ok
+    same_tag = scene.tags[subj] & scene.tags[obj]
 
-    sat = np.zeros((k, k, cfg.n_rel), dtype=bool)
+    sat = np.zeros((len(subj), cfg.n_rel), dtype=bool)
     for r, key in enumerate(keys):
         spec = thresholds["per_predicate"].get(str(r))
         if spec is not None:
             stat = stats[spec["rule"]]
-            sat[:, :, r] = stat < spec["threshold"] if spec["direction"] == "lt" \
+            sat[:, r] = stat < spec["threshold"] if spec["direction"] == "lt" \
                 else stat > spec["threshold"]
         elif key == "paired_with":
-            sat[:, :, r] = paired
+            sat[:, r] = paired
         else:
-            sat[:, :, r] = same_tag
+            sat[:, r] = same_tag
     for p in cfg.semantic_predicates:
-        sat[:, :, p] = same_tag
-    idx = np.arange(k)
-    sat[idx, idx, :] = False
+        sat[:, p] = same_tag
     scene.satisfied = sat
 
 
@@ -441,13 +435,9 @@ def _thin_to_quota(cfg: WorldConfig, scenes: list[_RawScene], split_id: int,
     weights = zipf_weights(n_rel, cfg.zipf_exponent)
 
     # every satisfied (pair, predicate) term, in scene, pair, predicate order
-    terms = []
-    for scene in scenes:
-        subj, obj = pair_index_arrays(len(scene.instances))
-        pair, pred = np.nonzero(scene.satisfied[subj, obj])
-        terms.append((subj[pair], obj[pair], pred))
-    pred = np.concatenate([np.zeros(0, dtype=np.intp)] + [p for _, _, p in terms])
-    starts = np.cumsum([0] + [len(p) for _, _, p in terms])
+    terms = [np.nonzero(scene.satisfied) for scene in scenes]
+    pred = np.concatenate([np.zeros(0, dtype=np.intp)] + [p for _, p in terms])
+    starts = np.cumsum([0] + [len(p) for _, p in terms])
 
     counts = np.bincount(pred, minlength=n_rel).astype(np.float64)
     if np.any(counts == 0):
@@ -480,10 +470,10 @@ def _thin_to_quota(cfg: WorldConfig, scenes: list[_RawScene], split_id: int,
             keep[pool[rng.choice(len(pool), size=min(extra, len(pool)), replace=False)]] = True
 
     gts = []
-    for scene, (subj, obj, scene_pred), start, stop in zip(scenes, terms, starts[:-1], starts[1:]):
+    for scene, (pair, scene_pred), start, stop in zip(scenes, terms, starts[:-1], starts[1:]):
         gt = np.zeros(scene.satisfied.shape, dtype=np.uint8)
         kept = keep[start:stop]
-        gt[subj[kept], obj[kept], scene_pred[kept]] = 1
+        gt[pair[kept], scene_pred[kept]] = 1
         gts.append(gt)
     return gts, np.bincount(pred[keep], minlength=n_rel)
 
@@ -550,7 +540,7 @@ def separability_audit(cfg: WorldConfig, scenes: list[_RawScene], gts: dict[str,
         geo, lat = _pair_features(scene)
         rows_geo.append(geo)
         rows_lat.append(lat)
-        labels.append(gt[pair_index_arrays(len(scene.instances))])
+        labels.append(gt)
     geo = np.concatenate(rows_geo)
     lat = np.concatenate(rows_lat)
     y_all = np.concatenate(labels)
@@ -622,12 +612,12 @@ def generate_dataset(cfg: WorldConfig) -> tuple[list[SceneGraphSample], Vocabula
     for scene in raw:
         gt = gts[scene.split][scene.split_index]
         sample = SceneGraphSample(scene_id=scene.scene_id, split=scene.split,
-                                  instances=scene.instances, predicate_gt=gt,
+                                  instances=scene.instances, gt_predicate_rows=gt,
                                   visual_features=scene.visual)
         samples.append(sample)
         if scene.split == "train":
             classes = np.array([inst.gt_class for inst in scene.instances])
-            _, subj, pred, obj = relation_terms(predicate_gt_rows(sample), classes)
+            _, subj, pred, obj = relation_terms(gt, classes)
             train_triplets.update(zip(subj.tolist(), pred.tolist(), obj.tolist()))
 
     vocab = Vocabulary(object_names=names, predicate_names=predicate_names,

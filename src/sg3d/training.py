@@ -227,7 +227,7 @@ def build_train_scene(sample: SceneGraphSample, provider: EmbeddingProvider | No
     provider is given."""
     prepared = prepare_scene(sample)
     if provider is not None:
-        _, subj, pred, obj = relation_terms(prepared.gt_pred_rows, prepared.gt_objects)
+        _, subj, pred, obj = relation_terms(prepared.gt_predicate_rows, prepared.gt_objects)
         prepared.text = provider.text_embedding_rows(np.stack([subj, pred, obj], axis=1).tolist())
     return prepared
 
@@ -247,15 +247,15 @@ def scene_loss(model: ModelState, p: PreparedScene, weights: LossWeights,
     result: ForwardResult = forward_scene(model, p, mode)
     terms = {
         "loss_obj_3d": loss_obj(result.obj_logits_3d, p.gt_objects, p.nodes),
-        "loss_pred_3d": loss_pred(result.pred_logits_3d, p.gt_pred_rows, p.edges),
+        "loss_pred_3d": loss_pred(result.pred_logits_3d, p.gt_predicate_rows, p.edges),
     }
     if vlsat:
         # the ground-truth terms, scene by scene, then pair, then predicate:
         # the order of `p.text`
-        pair, _ = np.nonzero(p.gt_pred_rows)
+        pair, _ = np.nonzero(p.gt_predicate_rows)
         per_scene = Segments(np.bincount(p.edges.seg[pair], minlength=p.edges.count))
         terms["loss_obj_or"] = loss_obj(result.obj_logits_oracle, p.gt_objects, p.nodes)
-        terms["loss_pred_or"] = loss_pred(result.pred_logits_oracle, p.gt_pred_rows, p.edges)
+        terms["loss_pred_or"] = loss_pred(result.pred_logits_oracle, p.gt_predicate_rows, p.edges)
         fused = ad.gather_rows(result.fused_triplets, pair)
         terms["loss_tri"] = loss_tri_emb(fused, p.text, per_scene)
         terms["loss_node"] = loss_node_init(result.nodes0_3d, result.nodes0_oracle, p.nodes)

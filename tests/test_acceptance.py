@@ -16,7 +16,7 @@ import pytest
 from sg3d import autodiff as ad
 from sg3d.autodiff import Segments, Tape, Tensor
 from sg3d.cli import build_parser, run_experiment_seed
-from sg3d.encoders import edge_descriptor
+from sg3d.encoders import descriptor_matrix
 from sg3d.metrics import (accuracy_events, mean_topk_accuracy, recall_at_k,
                           seen_unseen_report, topk_accuracy, triplet_topk)
 from sg3d.reasoning import (ModelConfig, ModelState, distance_mask, forward_scene,
@@ -205,12 +205,12 @@ def test_criterion_4_edge_descriptor_algebra():
         pts_b = rng.integers(-512, 512, size=(16, 3)).astype(np.float64) / 256.0
         a = compute_attributes(SceneInstance(0, pts_a, 0))
         b = compute_attributes(SceneInstance(1, pts_b, 0))
-        x_ab = edge_descriptor(a, b)
-        assert np.array_equal(x_ab, -edge_descriptor(b, a))
+        x_ab, x_ba = descriptor_matrix([a, b], [0, 1], [1, 0])
+        assert np.array_equal(x_ab, -x_ba)
         t = rng.integers(-8, 9, size=3).astype(np.float64)
         a2 = compute_attributes(SceneInstance(0, pts_a + t, 0))
         b2 = compute_attributes(SceneInstance(1, pts_b + t, 0))
-        assert np.array_equal(x_ab, edge_descriptor(a2, b2))
+        assert np.array_equal(x_ab, descriptor_matrix([a2, b2], [0], [1])[0])
     record(4, "edge descriptor antisymmetry and translation invariance, 1000 pairs")
 
 

@@ -53,7 +53,7 @@ class TestGenerate:
         counts = np.zeros(vocab.n_rel, dtype=int)
         for s in samples:
             if s.split == "train":
-                counts = counts + s.predicate_gt.sum(axis=(0, 1)).astype(int)
+                counts = counts + s.gt_predicate_rows.sum(axis=0).astype(int)
         assert counts.tolist() == manifest["predicate_train_frequency"]
 
     def test_rerun_identical(self, workspace, tmp_path):
@@ -335,10 +335,9 @@ def hand_scene(rng, k, scene_id, n_rel=5):
                                points=rng.standard_normal((int(rng.integers(3, 12)), 3)) * 0.4
                                + rng.uniform(-2, 2, size=3))
                  for i in range(k)]
-    gt = (rng.random((k, k, n_rel)) < 0.2).astype(np.uint8)
-    gt[np.arange(k), np.arange(k)] = 0
+    gt = (rng.random((k * (k - 1), n_rel)) < 0.2).astype(np.uint8)
     return SceneGraphSample(scene_id=scene_id, split="validation", instances=instances,
-                            predicate_gt=gt, visual_features=rng.standard_normal((k, 10)))
+                            gt_predicate_rows=gt, visual_features=rng.standard_normal((k, 10)))
 
 
 def random_model(rng, joint):
@@ -490,7 +489,7 @@ class TestEval:
             # keep one gt predicate per pair: under the graph constraint a
             # pair can only ever contribute its top-1 predicate, so perfect
             # scores reach 100% only on single-label pairs
-            gt_rows = prep.gt_pred_rows.astype(np.float64)
+            gt_rows = prep.gt_predicate_rows.astype(np.float64)
             for row in gt_rows:
                 hot = np.nonzero(row)[0]
                 if len(hot) > 1:
@@ -662,6 +661,14 @@ BAD_DATASET_MANIFESTS = [
 MALFORMED_MANIFESTS = [
     ("not json", "eval", lambda manifest: "{not json"),
     ("missing-field", "eval", _edited(lambda m: m.pop("train_triplets"))),
+    ("predicate_splits-tail-string", "eval",
+     _edited(lambda m: m["predicate_splits"].update(tail="0123"))),
+    ("predicate_splits-class-out-of-range", "eval",
+     _edited(lambda m: m["predicate_splits"]["tail"].append(m["world_config"]["n_rel"]))),
+    ("train_triplets-pairs", "eval",
+     _edited(lambda m: m.update(train_triplets=[t[:2] for t in m["train_triplets"]]))),
+    ("train_triplets-strings", "eval",
+     _edited(lambda m: m.update(train_triplets=[" ".join(map(str, t)) for t in m["train_triplets"]]))),
 ] + [(f"{command}-{name}", command, edit)
      for command in ("train", "predict") for name, edit in BAD_DATASET_MANIFESTS]
 
@@ -732,6 +739,8 @@ BAD_CONFIG_FILES = [
     ("d-negative", "train", '{"model": {"d": -4, "heads": 2}}'),
     ("hidden-zero", "train", '{"model": {"hidden": 0}}'),
     ("d_emb-negative", "train", '{"model": {"d_emb": -1}}'),
+    ("d_emb-not-the-dataset", "train", '{"model": {"d": 16, "heads": 2, "d_emb": 32}}'),
+    ("d_vis-not-the-dataset", "train", '{"model": {"d": 16, "heads": 2, "d_vis": 20}}'),
     ("seeds-string", "experiment", '{"experiment": {"seeds": "7"}}'),
 ]
 

@@ -8,12 +8,12 @@ from sg3d.reasoning import (GraphState, ModelConfig, ModelState, distance_mask,
                             fat_gnn_layer, forward_scene, mask_input_matrix,
                             mhca_edge, mhca_node, mhsa, multi_head_attention,
                             prepare_scene, _attention_params, _gnn_params)
-from sg3d.scene import (SceneGraphSample, SceneInstance, compute_attributes,
-                        ordered_pairs, pair_index_arrays)
+from sg3d.scene import SceneGraphSample, SceneInstance, compute_attributes, pair_index_arrays
 
 from attention_probe import attention_weights, multi_head_weights
 from gradcheck import analytic_grads, check_directional, check_params
 from reference_ops import narrow, reshape, transpose
+from reference_scene import ordered_pairs
 
 
 def small_model(joint=True, k_seed=0, **kw):
@@ -35,12 +35,12 @@ def make_sample(rng, k=3, n_rel=3, with_visual=True, d_vis=6):
     for i in range(k):
         pts = rng.standard_normal((8, 3)) * 0.4 + rng.uniform(-2, 2, size=3)
         instances.append(SceneInstance(instance_id=i, points=pts, gt_class=int(rng.integers(0, 4))))
-    gt = np.zeros((k, k, n_rel), dtype=np.uint8)
+    gt = np.zeros((k * (k - 1), n_rel), dtype=np.uint8)
     if k > 1:
-        gt[0, 1, rng.integers(0, n_rel)] = 1
+        gt[0, rng.integers(0, n_rel)] = 1  # row 0 is the pair (0, 1)
     visual = rng.standard_normal((k, d_vis)) if with_visual else None
     return SceneGraphSample(scene_id="t", split="train", instances=instances,
-                            predicate_gt=gt, visual_features=visual)
+                            gt_predicate_rows=gt, visual_features=visual)
 
 
 def per_head_core(q, k, v, heads, layout, mask=None):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from sg3d.errors import DataError
 from sg3d.scene import (EPS_BOX, SceneGraphSample, SceneInstance, Vocabulary,
-                        compute_attributes, load_scene_file, ordered_pairs, pair_index_arrays,
-                        predicate_gt_rows, relation_terms, save_scene_file, split_predicates)
+                        compute_attributes, load_scene_file, pair_index_arrays,
+                        relation_terms, save_scene_file, scene_to_record, split_predicates)
+
+from reference_scene import cube_of_record, ordered_pairs, relations_of_cube, rows_of_cube
 
 
 def make_vocab(n_obj=4, n_rel=3, freq=None):
@@ -130,7 +132,7 @@ class TestLoadSceneFile:
         samples = load_scene_file(path, make_vocab())
         assert len(samples) == 1
         assert samples[0].k == 2
-        assert samples[0].predicate_gt[0, 1, 1] == 1
+        assert samples[0].gt_predicate_rows.tolist() == [[0, 1, 0], [0, 0, 0]]
 
     def test_unknown_instance_reference(self, tmp_path):
         rec = well_formed_record()
@@ -203,7 +205,7 @@ class TestLoadSceneFile:
         save_scene_file(out, samples)
         again = load_scene_file(out, make_vocab())
         assert again[0].scene_id == samples[0].scene_id
-        assert np.array_equal(again[0].predicate_gt, samples[0].predicate_gt)
+        assert np.array_equal(again[0].gt_predicate_rows, samples[0].gt_predicate_rows)
         assert np.array_equal(again[0].instances[1].points, samples[0].instances[1].points)
         # a second save is byte-identical
         out2 = tmp_path / "rt2.jsonl"
@@ -211,9 +213,10 @@ class TestLoadSceneFile:
         assert out.read_bytes() == out2.read_bytes()
 
 
-def test_ordered_pairs_layout():
-    assert ordered_pairs(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    assert ordered_pairs(1) == []
+def test_pair_index_arrays_layout():
+    subj, obj = pair_index_arrays(3)
+    assert list(zip(subj.tolist(), obj.tolist())) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert [a.size for a in pair_index_arrays(1)] == [0, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,7 +226,6 @@ def test_pair_layout_and_relation_terms_match_loops(k, n_rel, data):
     subj, obj = pair_index_arrays(k)
     assert subj.dtype == obj.dtype == np.intp
     assert list(zip(subj.tolist(), obj.tolist())) == reference
-    assert ordered_pairs(k) == reference
     e = len(reference)
     rows = np.array(data.draw(st.lists(st.integers(0, 1), min_size=e * n_rel, max_size=e * n_rel)),
                     dtype=np.uint8).reshape(e, n_rel)
@@ -233,14 +235,17 @@ def test_pair_layout_and_relation_terms_match_loops(k, n_rel, data):
     assert list(zip(*(a.tolist() for a in relation_terms(rows, classes)))) == expected
 
 
-def test_predicate_gt_rows_alignment():
-    vocab = make_vocab()
-    gt = np.zeros((3, 3, vocab.n_rel), dtype=np.uint8)
-    gt[0, 2, 1] = 1
-    gt[2, 1, 0] = 1
-    sample = SceneGraphSample("s", "train", [unit_cube_instance(i) for i in range(3)], gt)
-    rows = predicate_gt_rows(sample)
+def test_parse_places_relations_in_pair_rows(tmp_path):
+    rec = well_formed_record()
+    rec["instances"].append({"id": 3, "class": 0, "points": [[5, 5, 5]]})
+    rec["relations"] = [{"subject_id": 0, "object_id": 3, "predicates": [1]},
+                        {"subject_id": 3, "object_id": 7, "predicates": [0]}]
+    path = tmp_path / "scenes.jsonl"
+    write_lines(path, [rec])
+    (sample,) = load_scene_file(path, make_vocab())
+    rows = sample.gt_predicate_rows
     pairs = ordered_pairs(3)
+    assert rows.dtype == np.uint8 and rows.shape == (6, 3)
     assert rows[pairs.index((0, 2)), 1] == 1
     assert rows[pairs.index((2, 1)), 0] == 1
     assert rows.sum() == 2
@@ -263,10 +268,9 @@ def scenes(draw):
         n = draw(st.integers(1, 4))
         pts = np.array(draw(st.lists(FINITE, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
         instances.append(SceneInstance(iid, pts, draw(st.integers(0, vocab.n_obj - 1))))
-    gt = np.array(draw(st.lists(st.integers(0, 1), min_size=k * k * vocab.n_rel,
-                                max_size=k * k * vocab.n_rel)), dtype=np.uint8)
-    gt = gt.reshape(k, k, vocab.n_rel)
-    gt[np.arange(k), np.arange(k)] = 0
+    e = k * (k - 1)
+    gt = np.array(draw(st.lists(st.integers(0, 1), min_size=e * vocab.n_rel,
+                                max_size=e * vocab.n_rel)), dtype=np.uint8).reshape(e, vocab.n_rel)
     visual = None
     if draw(st.booleans()):
         width = draw(st.integers(1, 3))
@@ -293,7 +297,7 @@ def test_scene_file_round_trip_bitwise(tmp_path_factory, scene):
         [(i.instance_id, i.gt_class) for i in sample.instances]
     for a, b in zip(again.instances, sample.instances):
         assert np.array_equal(_bits(a.points), _bits(b.points))
-    assert np.array_equal(again.predicate_gt, sample.predicate_gt)
+    assert np.array_equal(again.gt_predicate_rows, sample.gt_predicate_rows)
     if sample.visual_features is None:
         assert again.visual_features is None
     else:
@@ -314,3 +318,29 @@ def test_any_non_finite_coordinate_rejected(tmp_path_factory, scene, value, data
     save_scene_file(path, [sample])
     with pytest.raises(DataError, match="finite"):
         load_scene_file(path, vocab)
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.integers(1, 4), st.data())
+def test_ground_truth_rows_match_cube_reference(tmp_path_factory, k, n_rel, data):
+    # a random cube with an empty diagonal, and the rows it stands for
+    cube = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k * k * n_rel,
+                                       max_size=k * k * n_rel)), dtype=np.uint8)
+    cube = cube.reshape(k, k, n_rel)
+    cube[np.arange(k), np.arange(k)] = 0
+    rows = rows_of_cube(cube)
+    ids = data.draw(st.lists(st.integers(0, 10_000), min_size=k, max_size=k, unique=True))
+    vocab = make_vocab(n_obj=2, n_rel=n_rel)
+    sample = SceneGraphSample("s", "train", [unit_cube_instance(i) for i in ids], rows)
+
+    record = scene_to_record(sample)
+    assert record["relations"] == relations_of_cube(ids, cube)
+    path = tmp_path_factory.mktemp("gt") / "s.jsonl"
+    save_scene_file(path, [sample])
+    assert path.read_text() == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    (again,) = load_scene_file(path, vocab)
+    assert again.gt_predicate_rows.dtype == np.uint8
+    assert np.array_equal(again.gt_predicate_rows, rows_of_cube(cube_of_record(record, n_rel)))
+    again_path = path.with_name("again.jsonl")
+    save_scene_file(again_path, [again])
+    assert again_path.read_bytes() == path.read_bytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sg3d.errors import ConfigError, DataError
-from sg3d.scene import ordered_pairs, split_predicates
+from sg3d.scene import pair_index_arrays, split_predicates
 from sg3d.synthetic import (EmbeddingProvider, WorldConfig, generate_dataset,
                             manifest_to_json, provider_from_manifest,
                             visual_feature_rows, zipf_weights)
@@ -98,7 +98,7 @@ class TestGenerateDataset:
         assert manifest_to_json(a[2]) == manifest_to_json(b[2])
         for sa, sb in zip(a[0], b[0]):
             assert sa.scene_id == sb.scene_id
-            assert np.array_equal(sa.predicate_gt, sb.predicate_gt)
+            assert np.array_equal(sa.gt_predicate_rows, sb.gt_predicate_rows)
             assert np.array_equal(sa.visual_features, sb.visual_features)
             for ia, ib in zip(sa.instances, sb.instances):
                 assert np.array_equal(ia.points, ib.points)
@@ -114,9 +114,9 @@ class TestGenerateDataset:
     def test_every_scene_has_a_relation_and_no_self_relations(self):
         samples, vocab, manifest = generate_dataset(default_world())
         for s in samples:
-            assert s.predicate_gt.sum() >= 1
-            k = s.k
-            assert s.predicate_gt[np.arange(k), np.arange(k)].sum() == 0
+            assert s.gt_predicate_rows.sum() >= 1
+            # one row per ordered pair i != j: a self-relation has no row
+            assert s.gt_predicate_rows.shape == (s.k * (s.k - 1), vocab.n_rel)
 
     def test_flat_profile_near_uniform(self):
         # tag rate raised so the latent rule is not the binding class; corpus
@@ -147,7 +147,7 @@ class TestGenerateDataset:
         counts = np.zeros(vocab.n_rel, dtype=int)
         for s in samples:
             if s.split == "train":
-                counts = counts + s.predicate_gt.sum(axis=(0, 1)).astype(int)
+                counts = counts + s.gt_predicate_rows.sum(axis=0).astype(int)
         assert counts.tolist() == manifest["predicate_train_frequency"]
 
     def test_separability_contract(self):
@@ -171,9 +171,9 @@ class TestGenerateDataset:
             if s.split != "train":
                 continue
             classes = [i.gt_class for i in s.instances]
-            for i, j in ordered_pairs(s.k):
-                for p in np.nonzero(s.predicate_gt[i, j])[0]:
-                    assert (classes[i], int(p), classes[j]) in triples
+            subj, obj = pair_index_arrays(s.k)
+            for e, p in zip(*np.nonzero(s.gt_predicate_rows)):
+                assert (classes[subj[e]], int(p), classes[obj[e]]) in triples
 
     def test_splits_follow_frequency_rank(self):
         samples, vocab, manifest = generate_dataset(default_world())

@@ -634,7 +634,7 @@ def batch_scene(rng, k, relations):
     """A default-size training scene; without relations, every pair is a negative."""
     sample = make_sample(rng, k=k, n_rel=13, d_vis=34)
     if not relations:
-        sample.predicate_gt[:] = 0
+        sample.gt_predicate_rows[:] = 0
     return build_train_scene(sample, EmbeddingProvider(0, 16, 13, 32))
 
 
