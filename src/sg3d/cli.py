@@ -23,7 +23,8 @@ from .errors import ConfigError, DataError, NumericError, Sg3dError
 from .metrics import (EvalConfig, PredictionDump, ScenePrediction, dump_from_jsonl,
                       dump_to_jsonl, evaluate, report_rows, report_to_csv)
 from .reasoning import ModelConfig, ModelState, forward_scene, pack_scenes, prepare_scene
-from .scene import Vocabulary, field_problems, fits_type, load_scene_file, save_scene_file
+from .scene import (Vocabulary, field_problems, fits_type, load_scene_file, save_scene_file,
+                    stored_config)
 from .synthetic import WorldConfig, generate_dataset, manifest_to_json, provider_from_manifest
 from .training import Checkpoint, TrainConfig, train
 
@@ -156,10 +157,11 @@ MANIFEST_FIELDS = {"object_names": list[str], "predicate_names": list[str],
 
 
 def read_manifest(dataset_dir: Path) -> dict:
-    """The dataset manifest, whose `world_config` names exactly the
-    `WorldConfig` fields and counts its name lists; a field missing or of
-    the wrong JSON type (see `fits_type`), or a count that disagrees, is a
-    data error."""
+    """The dataset manifest, whose `world_config` is a valid `WorldConfig`
+    as `generate` writes it, resolved, and counts its name lists; a field
+    missing or of the wrong JSON type (see `fits_type`), a world config
+    that `validate` refuses or resolving would change, or a count that
+    disagrees, is a data error."""
     path = dataset_dir / "manifest.json"
     if not path.exists():
         raise DataError(f"dataset manifest not found: {path}")
@@ -168,11 +170,13 @@ def read_manifest(dataset_dir: Path) -> dict:
         raise DataError(f"dataset manifest {path} must hold a JSON object, "
                         f"got {type(manifest).__name__}")
     bad = [k for k, kind in MANIFEST_FIELDS.items() if not fits_type(manifest.get(k), kind)]
-    if not bad:
-        wc = manifest["world_config"]
-        bad = [f"world_config: {p}" for p in field_problems(WorldConfig, wc, complete=True)]
     if bad:
         raise DataError(f"dataset manifest {path}: fields missing or of the wrong type: {bad}")
+    wc = manifest["world_config"]
+    where = f"dataset manifest {path}: world_config"
+    unresolved = [k for k, v in asdict(stored_config(WorldConfig, wc, where)).items() if v != wc[k]]
+    if unresolved:
+        raise DataError(f"{where}: {unresolved} differ from their resolved values")
     counts = [len(manifest[k]) for k in ("object_names", "predicate_names",
                                           "predicate_train_frequency")]
     if counts != [wc["n_obj"], wc["n_rel"], wc["n_rel"]]:

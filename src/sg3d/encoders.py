@@ -20,7 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Segments, Tensor
 from .errors import DataError, DimensionError
-from .scene import InstanceAttributes
 
 EDGE_DESCRIPTOR_WIDTH = 11
 
@@ -71,20 +70,14 @@ def encode_nodes_3d(points: np.ndarray, instances: Segments, params: dict[str, T
     return ad.linear(ad.segment_max(h, instances), params["w3"], params["b3"])
 
 
-def descriptor_matrix(attrs: list[InstanceAttributes], subj, obj) -> np.ndarray:
+def descriptor_matrix(attrs: np.ndarray, subj, obj) -> np.ndarray:
     """(E, 11) descriptors of the ordered pairs (subj[e], obj[e]), in their order.
 
-    Each instance's row (mean, std, extent, log max side, log volume) is
-    built once; a descriptor is the difference of two rows, so swapping a
-    pair negates it bitwise.
+    `attrs` is the (K, 11) `scene.instance_attributes` table (mean, std,
+    extent, log max side, log volume); a descriptor is the difference of
+    two of its rows, so swapping a pair negates it bitwise.
     """
-    rows = np.concatenate([
-        np.stack([a.mean for a in attrs]),
-        np.stack([a.std for a in attrs]),
-        np.stack([a.bbox_size for a in attrs]),
-        np.log(np.array([[a.max_side, a.volume] for a in attrs])),
-    ], axis=1)
-    out = rows[subj] - rows[obj]
+    out = attrs[subj] - attrs[obj]
     if not np.all(np.isfinite(out)):
         raise DataError("non-finite edge descriptor (degenerate attributes?)")
     return out

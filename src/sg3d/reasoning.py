@@ -31,7 +31,7 @@ from . import encoders
 from .autodiff import Segments, Tensor
 from .encoders import glorot
 from .errors import ConfigError, DataError
-from .scene import SceneGraphSample, compute_attributes, pair_index_arrays
+from .scene import SceneGraphSample, instance_attributes, pair_index_arrays
 
 
 @dataclass
@@ -252,8 +252,9 @@ class PreparedScene:
     K, E and P count the node, edge and point rows of all the batch's
     scenes, scene by scene; `subj` and `obj` index the packed node rows, and
     every run of rows is a `Segments` layout. One scene is a batch of one.
-    `gt_predicate_rows` are the scenes' stored uint8 ground-truth rows (a
-    batch of one shares its sample's array). `text` holds the text embedding
+    `gt_predicate_rows` are the scenes' stored uint8 ground-truth rows. A
+    batch of one shares its sample's points, classes and rows; its `means`
+    are columns of `instance_attributes`. `text` holds the text embedding
     of each ground-truth term, in `relation_terms` order scene by scene, for
     the joint loss; prediction leaves it None.
     """
@@ -277,21 +278,21 @@ class PreparedScene:
 def prepare_scene(sample: SceneGraphSample) -> PreparedScene:
     """One scene as a batch of one."""
     k = sample.k
-    attrs = [compute_attributes(inst) for inst in sample.instances]
+    attrs = instance_attributes(sample.points, sample.point_counts)
     subj, obj = pair_index_arrays(k)
     return PreparedScene(
-        points=np.concatenate([inst.points for inst in sample.instances]),
-        means=np.stack([a.mean for a in attrs]),
+        points=sample.points,
+        means=attrs[:, :3],
         subj=subj,
         obj=obj,
         descriptors=encoders.descriptor_matrix(attrs, subj, obj),
         visual=sample.visual_features,
         text=None,
-        gt_objects=np.array([inst.gt_class for inst in sample.instances], dtype=np.intp),
+        gt_objects=sample.classes,
         gt_predicate_rows=sample.gt_predicate_rows,
         nodes=Segments([k]),
         edges=Segments([len(subj)]),
-        instances=Segments([len(inst.points) for inst in sample.instances]),
+        instances=Segments(sample.point_counts),
         out_edges=Segments([k - 1] * k),
         scene_ids=[sample.scene_id],
     )

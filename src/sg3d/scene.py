@@ -1,7 +1,9 @@
 """Scene data model: instances, ground-truth graphs, vocabulary, file I/O,
 and the canonical pair layout (`pair_index_arrays`, `relation_terms`) that
 every other module reads. Ground truth is stored in that layout from parse
-to metrics: one (E, N_rel) uint8 row per ordered instance pair.
+to metrics: one (E, N_rel) uint8 row per ordered instance pair. Instances
+are arrays from parse to model: ids, classes, stacked points and point
+counts, summarised by `instance_attributes` as one (K, 11) table.
 
 Scene files are UTF-8 JSON-lines, one scene per line:
 
@@ -20,11 +22,11 @@ import logging
 import types
 import typing
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 log = logging.getLogger("sg3d")
 
@@ -36,39 +38,23 @@ RELATION_FIELDS = {"subject_id", "object_id", "predicates"}
 
 
 @dataclass
-class SceneInstance:
-    """A point set with a mask identity and its ground-truth object label."""
-
-    instance_id: int
-    points: np.ndarray  # (n, 3) float64
-    gt_class: int
-
-
-@dataclass
-class InstanceAttributes:
-    """Per-instance geometric summary used by the edge encoder and the mask."""
-
-    mean: np.ndarray       # (3,)
-    std: np.ndarray        # (3,) population std
-    bbox_size: np.ndarray  # (3,) axis-aligned extent, clamped to EPS_BOX
-    volume: float
-    max_side: float
-
-
-@dataclass
 class SceneGraphSample:
-    """One scene: instances, multi-label predicate rows (one per ordered pair,
+    """One scene of K instances as arrays: ids, classes, points stacked
+    instance by instance, multi-label predicate rows (one per ordered pair,
     in `pair_index_arrays` order), optional visuals."""
 
     scene_id: str
     split: str
-    instances: list[SceneInstance]
+    instance_ids: np.ndarray       # (K,) intp
+    classes: np.ndarray            # (K,) intp
+    points: np.ndarray             # (P, 3) float64
+    point_counts: np.ndarray       # (K,) intp
     gt_predicate_rows: np.ndarray  # (E, N_rel) uint8, E = K(K-1)
     visual_features: np.ndarray | None = None  # (K, D_vis)
 
     @property
     def k(self) -> int:
-        return len(self.instances)
+        return len(self.classes)
 
 
 @dataclass
@@ -92,22 +78,24 @@ class Vocabulary:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def compute_attributes(instance: SceneInstance) -> InstanceAttributes:
-    """Per-axis mean/std and clamped bounding-box extents of an instance."""
-    pts = np.asarray(instance.points, dtype=np.float64)
-    if pts.size == 0:
-        raise DataError(f"instance {instance.instance_id} has no points")
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DataError(f"instance {instance.instance_id}: points must be (n, 3)")
-    # canonical point order makes the reductions exactly permutation-invariant
-    pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    std = np.sqrt((centered * centered).mean(axis=0))
-    extent = np.maximum(pts.max(axis=0) - pts.min(axis=0), EPS_BOX)
-    volume = float(extent[0] * extent[1] * extent[2])
-    return InstanceAttributes(mean=mean, std=std, bbox_size=extent,
-                              volume=volume, max_side=float(extent.max()))
+def instance_attributes(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(K, 11) geometry summary of K instances whose points are stacked in
+    `points`, `counts[i]` rows for instance i. Row i holds the per-axis
+    mean (columns 0-2), population std (3-5), bounding-box extent clamped
+    to EPS_BOX (6-8), log of the largest side (9) and log volume (10)."""
+    table = np.empty((len(counts), 11))
+    for i, pts in enumerate(np.split(points, np.cumsum(counts)[:-1])):
+        if len(pts) == 0:
+            raise DataError(f"instance {i} has no points")
+        # canonical point order makes the reductions exactly permutation-invariant
+        pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        extent = np.maximum(pts.max(axis=0) - pts.min(axis=0), EPS_BOX)
+        table[i, :9] = np.concatenate([mean, np.sqrt((centered * centered).mean(axis=0)), extent])
+        table[i, 9:] = extent.max(), extent[0] * extent[1] * extent[2]
+    table[:, 9:] = np.log(table[:, 9:])
+    return table
 
 
 def pair_index_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +175,21 @@ def field_problems(cls, values: dict, complete: bool) -> list[str]:
     return problems
 
 
+def stored_config(cls, values: dict, where: str):
+    """`cls` from a config section stored in a file the program wrote (a
+    checkpoint's, a dataset manifest's), which must name every field with a
+    value of its type and pass `validate`; anything else is a data error."""
+    problems = field_problems(cls, values, complete=True)
+    if problems:
+        raise DataError(f"{where}: {'; '.join(problems)}")
+    config = cls(**values)
+    try:
+        config.validate()
+    except ConfigError as e:
+        raise DataError(f"{where}: {e}") from e
+    return config
+
+
 def _typed(value, kind: type, what: str, where: str):
     """`value` when it has JSON type `kind` (see `fits_type`)."""
     if not fits_type(value, kind):
@@ -224,16 +227,15 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
     if split not in ("train", "validation"):
         raise DataError(f"{where}: split must be train|validation, got {split!r}")
 
-    instances = []
-    ids_seen = set()
+    id_to_index: dict[int, int] = {}
+    classes, point_sets = [], []
     for inst in _typed(record["instances"], list, "instances", where):
         _check_fields(inst, INSTANCE_FIELDS, where, strict)
         iid = _typed(inst["id"], int, "instance id", where)
         if iid < 0:
             raise DataError(f"{where}: negative instance id {iid}")
-        if iid in ids_seen:
+        if iid in id_to_index:
             raise DataError(f"{where}: duplicate instance id {iid}")
-        ids_seen.add(iid)
         cls = _typed(inst["class"], int, f"instance {iid} class", where)
         if not 0 <= cls < vocab.n_obj:
             raise DataError(f"{where}: object class {cls} out of range [0, {vocab.n_obj})")
@@ -242,12 +244,13 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
             raise DataError(f"{where}: instance {iid} points must be a non-empty (n, 3) list")
         if not np.all(np.isfinite(pts)):
             raise DataError(f"{where}: instance {iid} points must be finite")
-        instances.append(SceneInstance(instance_id=iid, points=pts, gt_class=cls))
+        id_to_index[iid] = len(id_to_index)
+        classes.append(cls)
+        point_sets.append(pts)
 
-    k = len(instances)
+    k = len(id_to_index)
     if k == 0:
         raise DataError(f"{where}: scene has no instances")
-    id_to_index = {inst.instance_id: idx for idx, inst in enumerate(instances)}
 
     pair_row = np.zeros((k, k), dtype=np.intp)
     pair_row[pair_index_arrays(k)] = np.arange(k * (k - 1))
@@ -276,7 +279,11 @@ def _parse_scene(record: dict, vocab: Vocabulary, where: str, strict: bool) -> S
         if not np.all(np.isfinite(visual)):
             raise DataError(f"{where}: visual_features must be finite")
 
-    return SceneGraphSample(scene_id=scene_id, split=split, instances=instances,
+    return SceneGraphSample(scene_id=scene_id, split=split,
+                            instance_ids=np.array(list(id_to_index), dtype=np.intp),
+                            classes=np.array(classes, dtype=np.intp),
+                            points=np.concatenate(point_sets),
+                            point_counts=np.array([len(p) for p in point_sets], dtype=np.intp),
                             gt_predicate_rows=gt, visual_features=visual)
 
 
@@ -312,21 +319,20 @@ def load_scene_file(path, vocab: Vocabulary, strict: bool = True,
 
 def scene_to_record(sample: SceneGraphSample) -> dict:
     """The scene-file record: one relation per pair row with any predicate."""
-    ids = np.array([inst.instance_id for inst in sample.instances])
+    ids = sample.instance_ids
     subj, obj = pair_index_arrays(sample.k)
     pair, pred = np.nonzero(sample.gt_predicate_rows)
     pairs, first = np.unique(pair, return_index=True)
     relations = [{"subject_id": s, "object_id": o, "predicates": p.tolist()}
                  for s, o, p in zip(ids[subj[pairs]].tolist(), ids[obj[pairs]].tolist(),
                                     np.split(pred, first[1:]))]
+    points = iter(sample.points.tolist())  # each instance takes its count of rows in turn
     record = {
         "scene_id": sample.scene_id,
         "split": sample.split,
-        "instances": [
-            {"id": inst.instance_id, "class": inst.gt_class,
-             "points": inst.points.tolist()}
-            for inst in sample.instances
-        ],
+        "instances": [{"id": iid, "class": cls, "points": list(islice(points, n))}
+                      for iid, cls, n in zip(ids.tolist(), sample.classes.tolist(),
+                                             sample.point_counts.tolist())],
         "relations": relations,
     }
     if sample.visual_features is not None:

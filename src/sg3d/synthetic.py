@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .scene import (SceneGraphSample, SceneInstance, Vocabulary, compute_attributes,
-                    pair_index_arrays, relation_terms, split_predicates)
+from .scene import (SceneGraphSample, Vocabulary, instance_attributes, pair_index_arrays,
+                    relation_terms, split_predicates)
 
 log = logging.getLogger("sg3d")
 
@@ -112,6 +112,14 @@ class WorldConfig:
             raise ConfigError("d_vis too small to carry the latent channel")
         if self.n_views < 1:
             raise ConfigError("n_views must be >= 1")
+        if self.n_train_scenes < 1 or self.n_val_scenes < 1:
+            raise ConfigError("n_train_scenes and n_val_scenes must be >= 1")
+        if not 1 <= self.points_min <= self.points_max:
+            raise ConfigError(f"points_min must lie in [1, points_max], got {self.points_min}")
+        if not 0.0 <= self.tag_probability <= 1.0:
+            raise ConfigError(f"tag_probability must lie in [0, 1], got {self.tag_probability}")
+        if min(self.sigma_noise, self.rule_rate_scale, self.rule_rate_floor) < 0:
+            raise ConfigError("sigma_noise, rule_rate_scale and rule_rate_floor must be >= 0")
         splits = _index_splits(self.n_rel)
         tail = splits["tail"]
         for p in self.semantic_predicates:
@@ -273,13 +281,16 @@ def _predicate_names(cfg: WorldConfig) -> list[str]:
 
 @dataclass
 class _RawScene:
-    """A generated scene before thinning; `satisfied` marks the (pair,
-    predicate) terms its rules accept, one row per ordered pair."""
+    """A generated scene before thinning: instance arrays as a
+    `SceneGraphSample` holds them, their `instance_attributes` table, and
+    `satisfied`, the (pair, predicate) terms its rules accept."""
 
     scene_id: str
     split: str
-    instances: list[SceneInstance]
-    attrs: list
+    classes: np.ndarray       # (K,) intp
+    points: np.ndarray        # (P, 3)
+    point_counts: np.ndarray  # (K,) intp
+    attrs: np.ndarray         # (K, 11)
     tags: np.ndarray       # (K,) bool
     latents: np.ndarray    # (K, d_vis)
     satisfied: np.ndarray  # (E, n_rel) bool
@@ -304,22 +315,22 @@ def _generate_geometry(cfg: WorldConfig, provider: EmbeddingProvider, split: str
     lift = np.where(raised[classes], rng.uniform(0.55, 0.95, size=k), rng.uniform(0.0, 0.06, size=k))
     centers[:, 2] = inst_sizes[:, 2] / 2.0 + lift
 
-    instances = []
+    point_sets = []
     for i in range(k):
         n_pts = int(rng.integers(cfg.points_min, cfg.points_max + 1))
-        pts = centers[i] + (rng.random((n_pts, 3)) - 0.5) * inst_sizes[i]
-        instances.append(SceneInstance(instance_id=i, points=pts, gt_class=int(classes[i])))
-    attrs = [compute_attributes(inst) for inst in instances]
+        point_sets.append(centers[i] + (rng.random((n_pts, 3)) - 0.5) * inst_sizes[i])
+    points = np.concatenate(point_sets)
+    counts = np.array([len(p) for p in point_sets], dtype=np.intp)
     tags = rng.random(k) < cfg.tag_probability
 
     latents = np.zeros((k, cfg.d_vis))
     emb_width = min(cfg.d_emb, cfg.d_vis - 2)
-    for i in range(k):
-        latents[i, :emb_width] = provider.object_embeddings[classes[i], :emb_width]
-        latents[i, -2] = 1.0 if tags[i] else 0.0
+    latents[:, :emb_width] = provider.object_embeddings[classes, :emb_width]
+    latents[:, -2] = tags
 
-    return _RawScene(scene_id=f"{split}_{index:05d}", split=split, instances=instances,
-                     attrs=attrs, tags=tags, latents=latents,
+    return _RawScene(scene_id=f"{split}_{index:05d}", split=split,
+                     classes=classes, points=points, point_counts=counts,
+                     attrs=instance_attributes(points, counts), tags=tags, latents=latents,
                      satisfied=np.zeros((k * (k - 1), cfg.n_rel), dtype=bool))
 
 
@@ -341,11 +352,9 @@ GEOM_RULES = {
 
 def _pair_stats(scene: _RawScene) -> dict[str, np.ndarray]:
     """Every rule statistic, one value per ordered pair."""
-    subj, obj = pair_index_arrays(len(scene.instances))
-    mus = np.stack([a.mean for a in scene.attrs])
-    log_v = np.log(np.array([a.volume for a in scene.attrs]))
-    log_h = np.log(np.array([a.bbox_size[2] for a in scene.attrs]))
-    diff = mus[subj] - mus[obj]
+    subj, obj = pair_index_arrays(len(scene.classes))
+    log_v, log_h = scene.attrs[:, 10], np.log(scene.attrs[:, 8])
+    diff = scene.attrs[subj, :3] - scene.attrs[obj, :3]
     dv = log_v[subj] - log_v[obj]
     dh = log_h[subj] - log_h[obj]
     return {
@@ -396,15 +405,14 @@ def _calibrate_thresholds(cfg: WorldConfig, train_scenes: list[_RawScene],
 
 def _apply_rules(cfg: WorldConfig, scene: _RawScene, thresholds: dict,
                  accessory_pairs: list[tuple[int, int]]) -> None:
-    subj, obj = pair_index_arrays(len(scene.instances))
-    classes = np.array([inst.gt_class for inst in scene.instances])
+    subj, obj = pair_index_arrays(len(scene.classes))
     stats = _pair_stats(scene)
     keys = _predicate_rule_keys(cfg.n_rel)
 
     paired = np.zeros(len(subj), dtype=bool)
     pair_ok = stats["near"] < thresholds["pair_distance"]
     for s_cls, o_cls in accessory_pairs:
-        paired |= (classes[subj] == s_cls) & (classes[obj] == o_cls) & pair_ok
+        paired |= (scene.classes[subj] == s_cls) & (scene.classes[obj] == o_cls) & pair_ok
     same_tag = scene.tags[subj] & scene.tags[obj]
 
     sat = np.zeros((len(subj), cfg.n_rel), dtype=bool)
@@ -513,16 +521,14 @@ def _pair_features(scene: _RawScene) -> tuple[np.ndarray, np.ndarray]:
     """Geometry-only and latent feature rows for every ordered pair."""
     from .encoders import descriptor_matrix
 
-    subj, obj = pair_index_arrays(len(scene.instances))
+    subj, obj = pair_index_arrays(len(scene.classes))
     attrs = scene.attrs
-    mean = np.stack([a.mean for a in attrs])
-    size = np.stack([a.bbox_size for a in attrs])
-    std = np.stack([a.std for a in attrs])
-    diff = (mean[subj] - mean[obj])[:, None, :]
+    diff = (attrs[subj, :3] - attrs[obj, :3])[:, None, :]
     # one dot per pair, as np.linalg.norm takes it, so the audit keeps its bits
     dist = np.sqrt(diff @ np.swapaxes(diff, 1, 2))[:, 0]
-    geo = np.concatenate([descriptor_matrix(attrs, subj, obj), dist, size[subj], size[obj],
-                          std[subj], std[obj]], axis=1)
+    # then the box extents (columns 6-8) and stds (3-5) of subject and object
+    geo = np.concatenate([descriptor_matrix(attrs, subj, obj), dist, attrs[subj, 6:9],
+                          attrs[obj, 6:9], attrs[subj, 3:6], attrs[obj, 3:6]], axis=1)
     lat = np.concatenate([scene.visual[subj], scene.visual[obj]], axis=1)
     return geo, lat
 
@@ -612,12 +618,13 @@ def generate_dataset(cfg: WorldConfig) -> tuple[list[SceneGraphSample], Vocabula
     for scene in raw:
         gt = gts[scene.split][scene.split_index]
         sample = SceneGraphSample(scene_id=scene.scene_id, split=scene.split,
-                                  instances=scene.instances, gt_predicate_rows=gt,
+                                  instance_ids=np.arange(scene.classes.size),
+                                  classes=scene.classes, points=scene.points,
+                                  point_counts=scene.point_counts, gt_predicate_rows=gt,
                                   visual_features=scene.visual)
         samples.append(sample)
         if scene.split == "train":
-            classes = np.array([inst.gt_class for inst in scene.instances])
-            _, subj, pred, obj = relation_terms(gt, classes)
+            _, subj, pred, obj = relation_terms(gt, scene.classes)
             train_triplets.update(zip(subj.tolist(), pred.tolist(), obj.tolist()))
 
     vocab = Vocabulary(object_names=names, predicate_names=predicate_names,

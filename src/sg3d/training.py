@@ -36,7 +36,7 @@ from .autodiff import Segments, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
 from .reasoning import (ForwardResult, ModelConfig, ModelState, PreparedScene, forward_scene,
                         pack_scenes, prepare_scene)
-from .scene import SceneGraphSample, Vocabulary, field_problems, fits_type, relation_terms
+from .scene import SceneGraphSample, Vocabulary, fits_type, relation_terms, stored_config
 from .synthetic import EmbeddingProvider
 
 
@@ -399,20 +399,6 @@ def _decode_array(blob: dict, shape: tuple, where: str) -> np.ndarray:
     return arr.reshape(shape).copy()
 
 
-def _config(cls, values: dict, where: str):
-    """`cls` from a checkpoint's config section, which must name every field
-    with a value of its type and pass `validate`."""
-    problems = field_problems(cls, values, complete=True)
-    if problems:
-        raise DataError(f"checkpoint {where}: {'; '.join(problems)}")
-    config = cls(**values)
-    try:
-        config.validate()
-    except ConfigError as e:
-        raise DataError(f"checkpoint {where}: {e}") from e
-    return config
-
-
 class Checkpoint:
     """Serializable snapshot: parameters, optimizer state, epoch, config."""
 
@@ -492,11 +478,11 @@ class Checkpoint:
 
     @property
     def model_config(self) -> ModelConfig:
-        return _config(ModelConfig, self.payload["model_config"], "model_config")
+        return stored_config(ModelConfig, self.payload["model_config"], "checkpoint model_config")
 
     @property
     def train_config(self) -> TrainConfig:
-        return _config(TrainConfig, self.payload["train_config"], "train_config")
+        return stored_config(TrainConfig, self.payload["train_config"], "checkpoint train_config")
 
     @property
     def vocab_hash(self) -> str:

@@ -21,7 +21,7 @@ from sg3d.metrics import (accuracy_events, mean_topk_accuracy, recall_at_k,
                           seen_unseen_report, topk_accuracy, triplet_topk)
 from sg3d.reasoning import (ModelConfig, ModelState, distance_mask, forward_scene,
                             mhca_node, prepare_scene, _attention_params)
-from sg3d.scene import SceneInstance, compute_attributes
+from sg3d.scene import instance_attributes
 from sg3d.synthetic import EmbeddingProvider, WorldConfig, generate_dataset
 from sg3d.training import (TERM_KEYS, LossWeights, TrainConfig, build_train_scene,
                            init_classifier_from_embeddings, loss_node_init, loss_obj,
@@ -203,14 +203,13 @@ def test_criterion_4_edge_descriptor_algebra():
     for _ in range(1000):
         pts_a = rng.integers(-512, 512, size=(8, 3)).astype(np.float64) / 256.0
         pts_b = rng.integers(-512, 512, size=(16, 3)).astype(np.float64) / 256.0
-        a = compute_attributes(SceneInstance(0, pts_a, 0))
-        b = compute_attributes(SceneInstance(1, pts_b, 0))
-        x_ab, x_ba = descriptor_matrix([a, b], [0, 1], [1, 0])
+        counts = np.array([8, 16])
+        attrs = instance_attributes(np.concatenate([pts_a, pts_b]), counts)
+        x_ab, x_ba = descriptor_matrix(attrs, [0, 1], [1, 0])
         assert np.array_equal(x_ab, -x_ba)
         t = rng.integers(-8, 9, size=3).astype(np.float64)
-        a2 = compute_attributes(SceneInstance(0, pts_a + t, 0))
-        b2 = compute_attributes(SceneInstance(1, pts_b + t, 0))
-        assert np.array_equal(x_ab, descriptor_matrix([a2, b2], [0], [1])[0])
+        attrs2 = instance_attributes(np.concatenate([pts_a, pts_b]) + t, counts)
+        assert np.array_equal(x_ab, descriptor_matrix(attrs2, [0], [1])[0])
     record(4, "edge descriptor antisymmetry and translation invariance, 1000 pairs")
 
 
@@ -243,8 +242,9 @@ def test_criterion_5_masking_semantics():
     for trial in range(100):
         pts = [rng.integers(-512, 512, size=(8, 3)).astype(np.float64) / 256.0 for _ in range(3)]
         t = rng.integers(-8, 9, size=3).astype(np.float64)
-        means_a = np.stack([compute_attributes(SceneInstance(0, p, 0)).mean for p in pts])
-        means_b = np.stack([compute_attributes(SceneInstance(0, p + t, 0)).mean for p in pts])
+        counts = np.array([8, 8, 8])
+        means_a = instance_attributes(np.concatenate(pts), counts)[:, :3]
+        means_b = instance_attributes(np.concatenate(pts) + t, counts)[:, :3]
         assert np.array_equal(distance_mask(means_a, mask_params, Segments([3])).data,
                               distance_mask(means_b, mask_params, Segments([3])).data)
     record(5, "additive -30 mask suppression and mask translation invariance")

@@ -10,8 +10,9 @@ from sg3d import cli
 from sg3d.cli import build_parser, config_hash, main, predict_dump
 from sg3d.metrics import PredictionDump, dump_from_jsonl, dump_to_jsonl
 from sg3d.reasoning import ModelConfig, ModelState
-from sg3d.scene import SceneGraphSample, SceneInstance
 from sg3d.training import Checkpoint
+
+from reference_scene import sample_of_instances
 
 
 def write_config(tmp_path, **sections):
@@ -331,13 +332,14 @@ class TestPredict:
 
 def hand_scene(rng, k, scene_id, n_rel=5):
     """A scene of k instances with random points and relations."""
-    instances = [SceneInstance(instance_id=i, gt_class=int(rng.integers(0, 6)),
-                               points=rng.standard_normal((int(rng.integers(3, 12)), 3)) * 0.4
-                               + rng.uniform(-2, 2, size=3))
-                 for i in range(k)]
+    classes, point_sets = [], []
+    for _ in range(k):
+        classes.append(int(rng.integers(0, 6)))
+        point_sets.append(rng.standard_normal((int(rng.integers(3, 12)), 3)) * 0.4
+                          + rng.uniform(-2, 2, size=3))
     gt = (rng.random((k * (k - 1), n_rel)) < 0.2).astype(np.uint8)
-    return SceneGraphSample(scene_id=scene_id, split="validation", instances=instances,
-                            gt_predicate_rows=gt, visual_features=rng.standard_normal((k, 10)))
+    return sample_of_instances(scene_id, "validation", range(k), classes, point_sets, gt,
+                               rng.standard_normal((k, 10)))
 
 
 def random_model(rng, joint):
@@ -655,6 +657,13 @@ BAD_DATASET_MANIFESTS = [
      _edited(lambda m: m["world_config"].update(n_rel=len(m["predicate_names"]) - 1))),
     ("predicate_train_frequency-short",
      _edited(lambda m: m.update(predicate_train_frequency=m["predicate_train_frequency"][:-1]))),
+    # world_config must be the resolved, valid config generate writes
+    ("world_config-d_vis-null", _edited(lambda m: m["world_config"].update(d_vis=None))),
+    ("world_config-semantic_predicates-empty",
+     _edited(lambda m: m["world_config"].update(semantic_predicates=[]))),
+    ("world_config-tag_probability-above-one",
+     _edited(lambda m: m["world_config"].update(tag_probability=5.0))),
+    ("world_config-points_min-zero", _edited(lambda m: m["world_config"].update(points_min=0))),
 ]
 
 # (id, command, manifest edit); eval reads the manifest named by --manifest
@@ -729,6 +738,15 @@ BAD_CONFIG_FILES = [
     ("n_views-bool", "generate", '{"world": {"n_views": true}}'),
     ("zipf-null", "generate", '{"world": {"zipf_exponent": null}}'),
     ("semantic-predicates-floats", "generate", '{"world": {"semantic_predicates": [12.0]}}'),
+    ("points_min-zero", "generate", '{"world": {"points_min": 0}}'),
+    ("points_min-above-points_max", "generate", '{"world": {"points_min": 5, "points_max": 2}}'),
+    ("n_train_scenes-zero", "generate", '{"world": {"n_train_scenes": 0}}'),
+    ("n_val_scenes-zero", "generate", '{"world": {"n_val_scenes": 0}}'),
+    ("tag_probability-above-one", "generate", '{"world": {"tag_probability": 2.0}}'),
+    ("tag_probability-negative", "generate", '{"world": {"tag_probability": -0.5}}'),
+    ("sigma_noise-negative", "generate", '{"world": {"sigma_noise": -1.0}}'),
+    ("rule_rate_scale-negative", "generate", '{"world": {"rule_rate_scale": -1.0}}'),
+    ("rule_rate_floor-negative", "generate", '{"world": {"rule_rate_floor": -1.0}}'),
     ("epochs-string", "train", '{"train": {"epochs": "3"}}'),
     ("base_lr-string", "train", '{"train": {"base_lr": "0.1"}}'),
     ("vlsat-int", "train", '{"train": {"vlsat": 1}}'),

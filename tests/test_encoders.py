@@ -10,27 +10,28 @@ from sg3d.encoders import (descriptor_matrix, encode_edges, encode_nodes_3d,
                            encode_nodes_oracle, init_edge_mlp, init_point_mlp,
                            init_visual_proj)
 from sg3d.reasoning import prepare_scene
-from sg3d.scene import InstanceAttributes, SceneInstance, compute_attributes, pair_index_arrays
+from sg3d.scene import instance_attributes, pair_index_arrays
 
 from gradcheck import analytic_grads, check_params
 from reference_ops import amax
 from reference_scene import ordered_pairs
 from test_reasoning import make_sample
+from test_scene import attributes
 
 
 def rand_attrs(rng):
     pts = rng.standard_normal((12, 3)) * rng.uniform(0.2, 1.5) + rng.uniform(-3, 3, size=3)
-    return compute_attributes(SceneInstance(0, pts, 0))
+    return attributes(pts)
 
 
 def one_descriptor(a, b):
-    """The descriptor of the one pair (a, b)."""
-    return descriptor_matrix([a, b], [0], [1])[0]
+    """The descriptor of the one pair of attribute rows (a, b)."""
+    return descriptor_matrix(np.stack([a, b]), [0], [1])[0]
 
 
 def dyadic_attrs(rng, n=8):
     pts = rng.integers(-512, 512, size=(n, 3)).astype(np.float64) / 256.0
-    return pts, compute_attributes(SceneInstance(0, pts, 0))
+    return pts, attributes(pts)
 
 
 def encode_point_sets(point_sets, params, encoder=encode_nodes_3d):
@@ -132,7 +133,8 @@ class TestPackedNodeEncoder:
         # empty-segment case of its own either
         rng = np.random.default_rng(23)
         sample = make_sample(rng, k=3)
-        sample.instances[1].points = np.zeros((0, 3))
+        sample.points = np.delete(sample.points, np.s_[8:16], axis=0)  # instance 1's rows
+        sample.point_counts[1] = 0
         with pytest.raises(DataError):
             prepare_scene(sample)
         params = init_point_mlp(rng, 4, 4)
@@ -154,10 +156,9 @@ class TestEdgeDescriptor:
             assert np.array_equal(one_descriptor(a, b), -one_descriptor(b, a))
 
     def test_log_ratio_hand_case(self):
-        base = InstanceAttributes(mean=np.zeros(3), std=np.zeros(3),
-                                  bbox_size=np.ones(3), volume=1.0, max_side=1.0)
-        double = InstanceAttributes(mean=np.zeros(3), std=np.zeros(3),
-                                    bbox_size=np.ones(3), volume=2.0, max_side=2.0)
+        # (mean, std, extent, log max side, log volume)
+        base = np.concatenate([np.zeros(3), np.zeros(3), np.ones(3), np.log([1.0, 1.0])])
+        double = np.concatenate([np.zeros(3), np.zeros(3), np.ones(3), np.log([2.0, 2.0])])
         x = one_descriptor(double, base)
         expected = np.zeros(11)
         expected[9] = np.log(2.0)
@@ -172,8 +173,8 @@ class TestEdgeDescriptor:
             pts_a, a = dyadic_attrs(rng)
             pts_b, b = dyadic_attrs(rng, n=16)
             t = rng.integers(-8, 9, size=3).astype(np.float64)
-            a2 = compute_attributes(SceneInstance(0, pts_a + t, 0))
-            b2 = compute_attributes(SceneInstance(0, pts_b + t, 0))
+            a2 = attributes(pts_a + t)
+            b2 = attributes(pts_b + t)
             assert np.array_equal(one_descriptor(a, b), one_descriptor(a2, b2))
 
 
@@ -182,7 +183,7 @@ class TestEdgeEncoder:
         rng = np.random.default_rng(6)
         params = init_edge_mlp(rng, 8, 4)
         a = rand_attrs(rng)
-        out = encode_edges(descriptor_matrix([a, a], [0], [1]), params).data
+        out = encode_edges(descriptor_matrix(np.stack([a, a]), [0], [1]), params).data
         zero_out = encode_edges(np.zeros((1, 11)), params).data
         assert np.array_equal(out, zero_out)
 
@@ -199,7 +200,7 @@ class TestEdgeEncoder:
 
     def test_descriptor_matrix_order(self):
         rng = np.random.default_rng(8)
-        attrs = [rand_attrs(rng) for _ in range(3)]
+        attrs = np.stack([rand_attrs(rng) for _ in range(3)])
         pairs = ordered_pairs(3)
         mat = descriptor_matrix(attrs, *pair_index_arrays(3))
         for row, (i, j) in zip(mat, pairs):
@@ -241,18 +242,17 @@ COORD = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 @st.composite
-def instance_attributes(draw):
+def attribute_tables(draw):
     k = draw(st.integers(2, 7))
-    attrs = []
+    point_sets = []
     for _ in range(k):
         n = draw(st.integers(1, 6))
-        pts = np.array(draw(st.lists(COORD, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
-        attrs.append(compute_attributes(SceneInstance(0, pts, 0)))
-    return attrs
+        point_sets.append(np.array(draw(st.lists(COORD, min_size=3 * n, max_size=3 * n))).reshape(n, 3))
+    return instance_attributes(np.concatenate(point_sets), np.array([len(p) for p in point_sets]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(instance_attributes())
+@given(attribute_tables())
 def test_descriptor_matrix_antisymmetric_and_rowwise(attrs):
     pairs = ordered_pairs(len(attrs))
     mat = descriptor_matrix(attrs, *pair_index_arrays(len(attrs)))

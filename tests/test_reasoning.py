@@ -8,12 +8,12 @@ from sg3d.reasoning import (GraphState, ModelConfig, ModelState, distance_mask,
                             fat_gnn_layer, forward_scene, mask_input_matrix,
                             mhca_edge, mhca_node, mhsa, multi_head_attention,
                             prepare_scene, _attention_params, _gnn_params)
-from sg3d.scene import SceneGraphSample, SceneInstance, compute_attributes, pair_index_arrays
+from sg3d.scene import instance_attributes, pair_index_arrays
 
 from attention_probe import attention_weights, multi_head_weights
 from gradcheck import analytic_grads, check_directional, check_params
 from reference_ops import narrow, reshape, transpose
-from reference_scene import ordered_pairs
+from reference_scene import ordered_pairs, sample_of_instances
 
 
 def small_model(joint=True, k_seed=0, **kw):
@@ -31,16 +31,15 @@ def randomize_params(model, rng, scale=0.4):
 
 
 def make_sample(rng, k=3, n_rel=3, with_visual=True, d_vis=6):
-    instances = []
-    for i in range(k):
-        pts = rng.standard_normal((8, 3)) * 0.4 + rng.uniform(-2, 2, size=3)
-        instances.append(SceneInstance(instance_id=i, points=pts, gt_class=int(rng.integers(0, 4))))
+    point_sets, classes = [], []
+    for _ in range(k):
+        point_sets.append(rng.standard_normal((8, 3)) * 0.4 + rng.uniform(-2, 2, size=3))
+        classes.append(int(rng.integers(0, 4)))
     gt = np.zeros((k * (k - 1), n_rel), dtype=np.uint8)
     if k > 1:
         gt[0, rng.integers(0, n_rel)] = 1  # row 0 is the pair (0, 1)
     visual = rng.standard_normal((k, d_vis)) if with_visual else None
-    return SceneGraphSample(scene_id="t", split="train", instances=instances,
-                            gt_predicate_rows=gt, visual_features=visual)
+    return sample_of_instances("t", "train", range(k), classes, point_sets, gt, visual)
 
 
 def per_head_core(q, k, v, heads, layout, mask=None):
@@ -173,11 +172,10 @@ class TestDistanceMask:
         out = []
         for _ in range(k):
             if dyadic:
-                pts = rng.integers(-512, 512, size=(8, 3)).astype(np.float64) / 256.0
+                out.append(rng.integers(-512, 512, size=(8, 3)).astype(np.float64) / 256.0)
             else:
-                pts = rng.standard_normal((8, 3)) + rng.uniform(-2, 2, 3)
-            out.append(compute_attributes(SceneInstance(0, pts, 0)))
-        return np.stack([a.mean for a in out])
+                out.append(rng.standard_normal((8, 3)) + rng.uniform(-2, 2, 3))
+        return instance_attributes(np.concatenate(out), np.full(k, 8))[:, :3]
 
     def test_diagonal_is_mlp_of_zero(self):
         rng = np.random.default_rng(3)
@@ -195,8 +193,8 @@ class TestDistanceMask:
         params = self.mask_params(rng)
         pts_sets = [rng.integers(-512, 512, size=(8, 3)).astype(np.float64) / 256.0 for _ in range(3)]
         t = rng.integers(-8, 9, size=3).astype(np.float64)
-        means_a = np.stack([compute_attributes(SceneInstance(0, p, 0)).mean for p in pts_sets])
-        means_b = np.stack([compute_attributes(SceneInstance(0, p + t, 0)).mean for p in pts_sets])
+        means_a = instance_attributes(np.concatenate(pts_sets), np.full(3, 8))[:, :3]
+        means_b = instance_attributes(np.concatenate(pts_sets) + t, np.full(3, 8))[:, :3]
         assert np.array_equal(distance_mask(means_a, params, Segments([3])).data,
                               distance_mask(means_b, params, Segments([3])).data)
 

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sg3d.errors import DataError
-from sg3d.scene import (EPS_BOX, SceneGraphSample, SceneInstance, Vocabulary,
-                        compute_attributes, load_scene_file, pair_index_arrays,
-                        relation_terms, save_scene_file, scene_to_record, split_predicates)
+from sg3d.encoders import descriptor_matrix
+from sg3d.scene import (EPS_BOX, Vocabulary, instance_attributes, load_scene_file,
+                        pair_index_arrays, relation_terms, save_scene_file, scene_to_record,
+                        split_predicates)
 
-from reference_scene import cube_of_record, ordered_pairs, relations_of_cube, rows_of_cube
+import reference_scene
+from reference_scene import (cube_of_record, ordered_pairs, relations_of_cube, rows_of_cube,
+                             sample_of_instances)
 
 
 def make_vocab(n_obj=4, n_rel=3, freq=None):
@@ -21,44 +24,45 @@ def make_vocab(n_obj=4, n_rel=3, freq=None):
     )
 
 
-def unit_cube_instance(iid=0, cls=0):
-    pts = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    return SceneInstance(instance_id=iid, points=pts, gt_class=cls)
+UNIT_CUBE = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
+
+
+def attributes(pts):
+    """The `instance_attributes` row of one (n, 3) point set."""
+    return instance_attributes(pts, np.array([len(pts)]))[0]
 
 
 class TestComputeAttributes:
+    # row layout: mean 0-2, std 3-5, extent 6-8, log max side 9, log volume 10
     def test_unit_cube(self):
-        attrs = compute_attributes(unit_cube_instance())
-        assert np.allclose(attrs.mean, [0.5, 0.5, 0.5])
-        assert np.allclose(attrs.bbox_size, [1.0, 1.0, 1.0])
-        assert attrs.volume == 1.0
-        assert attrs.max_side == 1.0
+        row = attributes(UNIT_CUBE)
+        assert np.allclose(row[:3], [0.5, 0.5, 0.5])
+        assert np.allclose(row[6:9], [1.0, 1.0, 1.0])
+        assert row[10] == np.log(1.0)
+        assert row[9] == np.log(1.0)
 
     def test_single_point_degenerate(self):
-        inst = SceneInstance(0, np.array([[2.0, 3.0, 4.0]]), 0)
-        attrs = compute_attributes(inst)
-        assert np.array_equal(attrs.std, [0.0, 0.0, 0.0])
-        assert np.array_equal(attrs.bbox_size, [EPS_BOX] * 3)
-        assert attrs.volume == EPS_BOX ** 3
+        row = attributes(np.array([[2.0, 3.0, 4.0]]))
+        assert np.array_equal(row[3:6], [0.0, 0.0, 0.0])
+        assert np.array_equal(row[6:9], [EPS_BOX] * 3)
+        assert row[10] == np.log(EPS_BOX ** 3)
 
     def test_scaled_cube(self):
         pts = np.array([[x, y, z] for x in (0.0, 2.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-        attrs = compute_attributes(SceneInstance(0, pts, 0))
-        assert attrs.max_side == 2.0
-        assert attrs.volume == 2.0
+        row = attributes(pts)
+        assert row[9] == np.log(2.0)
+        assert row[10] == np.log(2.0)
 
     def test_empty_raises(self):
-        with pytest.raises(DataError):
-            compute_attributes(SceneInstance(0, np.zeros((0, 3)), 0))
+        with pytest.raises(DataError, match="instance 0 has no points"):
+            attributes(np.zeros((0, 3)))
+        with pytest.raises(DataError, match="instance 1 has no points"):
+            instance_attributes(np.concatenate([UNIT_CUBE, UNIT_CUBE]), np.array([8, 0, 8]))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((20, 3))
-        a = compute_attributes(SceneInstance(0, pts, 0))
-        b = compute_attributes(SceneInstance(0, pts[rng.permutation(20)], 0))
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.std, b.std)
-        assert np.array_equal(a.bbox_size, b.bbox_size)
+        assert np.array_equal(attributes(pts), attributes(pts[rng.permutation(20)]))
 
     def test_translation_shifts_mean_only(self):
         # dyadic coordinates + power-of-two point count + integer shift keep
@@ -66,13 +70,13 @@ class TestComputeAttributes:
         rng = np.random.default_rng(1)
         pts = rng.integers(-256, 256, size=(8, 3)).astype(np.float64) / 256.0
         t = rng.integers(-8, 9, size=3).astype(np.float64)
-        a = compute_attributes(SceneInstance(0, pts, 0))
-        b = compute_attributes(SceneInstance(0, pts + t, 0))
-        assert np.array_equal(b.mean, a.mean + t)
-        assert np.array_equal(b.std, a.std)
-        assert np.array_equal(b.bbox_size, a.bbox_size)
-        assert b.volume == a.volume
-        assert b.max_side == a.max_side
+        a = attributes(pts)
+        b = attributes(pts + t)
+        assert np.array_equal(b[:3], a[:3] + t)
+        assert np.array_equal(b[3:6], a[3:6])
+        assert np.array_equal(b[6:9], a[6:9])
+        assert b[10] == a[10]
+        assert b[9] == a[9]
 
 
 class TestSplitPredicates:
@@ -206,7 +210,8 @@ class TestLoadSceneFile:
         again = load_scene_file(out, make_vocab())
         assert again[0].scene_id == samples[0].scene_id
         assert np.array_equal(again[0].gt_predicate_rows, samples[0].gt_predicate_rows)
-        assert np.array_equal(again[0].instances[1].points, samples[0].instances[1].points)
+        assert np.array_equal(again[0].points, samples[0].points)
+        assert np.array_equal(again[0].point_counts, samples[0].point_counts)
         # a second save is byte-identical
         out2 = tmp_path / "rt2.jsonl"
         save_scene_file(out2, again)
@@ -263,11 +268,11 @@ def scenes(draw):
     vocab = make_vocab(n_obj=5, n_rel=4)
     k = draw(st.integers(1, 9))
     ids = draw(st.lists(st.integers(0, 10_000), min_size=k, max_size=k, unique=True))
-    instances = []
-    for iid in ids:
+    point_sets, classes = [], []
+    for _ in ids:
         n = draw(st.integers(1, 4))
-        pts = np.array(draw(st.lists(FINITE, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
-        instances.append(SceneInstance(iid, pts, draw(st.integers(0, vocab.n_obj - 1))))
+        point_sets.append(np.array(draw(st.lists(FINITE, min_size=3 * n, max_size=3 * n))).reshape(n, 3))
+        classes.append(draw(st.integers(0, vocab.n_obj - 1)))
     e = k * (k - 1)
     gt = np.array(draw(st.lists(st.integers(0, 1), min_size=e * vocab.n_rel,
                                 max_size=e * vocab.n_rel)), dtype=np.uint8).reshape(e, vocab.n_rel)
@@ -276,8 +281,9 @@ def scenes(draw):
         width = draw(st.integers(1, 3))
         visual = np.array(draw(st.lists(FINITE, min_size=k * width,
                                         max_size=k * width))).reshape(k, width)
-    sample = SceneGraphSample(draw(st.text(min_size=1, max_size=8)),
-                              draw(st.sampled_from(["train", "validation"])), instances, gt, visual)
+    sample = sample_of_instances(draw(st.text(min_size=1, max_size=8)),
+                                 draw(st.sampled_from(["train", "validation"])),
+                                 ids, classes, point_sets, gt, visual)
     return sample, vocab
 
 
@@ -293,10 +299,10 @@ def test_scene_file_round_trip_bitwise(tmp_path_factory, scene):
     save_scene_file(path, [sample])
     (again,) = load_scene_file(path, vocab)
     assert (again.scene_id, again.split) == (sample.scene_id, sample.split)
-    assert [(i.instance_id, i.gt_class) for i in again.instances] == \
-        [(i.instance_id, i.gt_class) for i in sample.instances]
-    for a, b in zip(again.instances, sample.instances):
-        assert np.array_equal(_bits(a.points), _bits(b.points))
+    assert again.instance_ids.tolist() == sample.instance_ids.tolist()
+    assert again.classes.tolist() == sample.classes.tolist()
+    assert again.point_counts.tolist() == sample.point_counts.tolist()
+    assert np.array_equal(_bits(again.points), _bits(sample.points))
     assert np.array_equal(again.gt_predicate_rows, sample.gt_predicate_rows)
     if sample.visual_features is None:
         assert again.visual_features is None
@@ -308,7 +314,7 @@ def test_scene_file_round_trip_bitwise(tmp_path_factory, scene):
 @given(scenes(), st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data())
 def test_any_non_finite_coordinate_rejected(tmp_path_factory, scene, value, data):
     sample, vocab = scene
-    targets = [inst.points for inst in sample.instances]
+    targets = [sample.points]
     if sample.visual_features is not None:
         targets.append(sample.visual_features)
     target = data.draw(st.sampled_from(targets))
@@ -331,7 +337,7 @@ def test_ground_truth_rows_match_cube_reference(tmp_path_factory, k, n_rel, data
     rows = rows_of_cube(cube)
     ids = data.draw(st.lists(st.integers(0, 10_000), min_size=k, max_size=k, unique=True))
     vocab = make_vocab(n_obj=2, n_rel=n_rel)
-    sample = SceneGraphSample("s", "train", [unit_cube_instance(i) for i in ids], rows)
+    sample = sample_of_instances("s", "train", ids, [0] * k, [UNIT_CUBE] * k, rows)
 
     record = scene_to_record(sample)
     assert record["relations"] == relations_of_cube(ids, cube)
@@ -341,6 +347,53 @@ def test_ground_truth_rows_match_cube_reference(tmp_path_factory, k, n_rel, data
     (again,) = load_scene_file(path, vocab)
     assert again.gt_predicate_rows.dtype == np.uint8
     assert np.array_equal(again.gt_predicate_rows, rows_of_cube(cube_of_record(record, n_rel)))
+    again_path = path.with_name("again.jsonl")
+    save_scene_file(again_path, [again])
+    assert again_path.read_bytes() == path.read_bytes()
+
+
+def _point_sets(draw, k):
+    """k point sets of 1-12 points, each point drawn fresh or repeated from
+    the set so far, so duplicates and one-point instances both occur."""
+    sets = []
+    for _ in range(k):
+        pts = []
+        for _ in range(draw(st.integers(1, 12))):
+            if pts and draw(st.booleans()):
+                pts.append(pts[draw(st.integers(0, len(pts) - 1))])
+            else:
+                pts.append([draw(st.floats(-1e3, 1e3, allow_nan=False)) for _ in range(3)])
+        sets.append(np.array(pts, dtype=np.float64))
+    return sets
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.data())
+def test_instance_attributes_match_per_instance_reference(tmp_path_factory, k, data):
+    point_sets = _point_sets(data.draw, k)
+    points = np.concatenate(point_sets)
+    counts = np.array([len(p) for p in point_sets])
+    table = instance_attributes(points, counts)
+    refs = [reference_scene.compute_attributes(p) for p in point_sets]
+    assert table.shape == (k, 11)
+    for row, ref in zip(table, refs):
+        assert np.array_equal(_bits(row[:9]), _bits(np.concatenate([ref.mean, ref.std, ref.bbox_size])))
+    assert np.array_equal(_bits(table[:, 9:]),
+                          _bits(np.log([[ref.max_side, ref.volume] for ref in refs])))
+    subj, obj = pair_index_arrays(k)
+    assert np.array_equal(_bits(descriptor_matrix(table, subj, obj)),
+                          _bits(reference_scene.descriptor_matrix(refs, subj, obj)))
+
+    # parse -> save -> load -> save keeps the bytes
+    ids = data.draw(st.lists(st.integers(0, 10_000), min_size=k, max_size=k, unique=True))
+    vocab = make_vocab(n_obj=3, n_rel=2)
+    classes = data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    sample = sample_of_instances("s", "train", ids, classes, point_sets,
+                                 np.zeros((k * (k - 1), 2), dtype=np.uint8))
+    path = tmp_path_factory.mktemp("attrs") / "s.jsonl"
+    save_scene_file(path, [sample])
+    (again,) = load_scene_file(path, vocab)
+    assert np.array_equal(_bits(instance_attributes(again.points, again.point_counts)), _bits(table))
     again_path = path.with_name("again.jsonl")
     save_scene_file(again_path, [again])
     assert again_path.read_bytes() == path.read_bytes()

@@ -100,8 +100,8 @@ class TestGenerateDataset:
             assert sa.scene_id == sb.scene_id
             assert np.array_equal(sa.gt_predicate_rows, sb.gt_predicate_rows)
             assert np.array_equal(sa.visual_features, sb.visual_features)
-            for ia, ib in zip(sa.instances, sb.instances):
-                assert np.array_equal(ia.points, ib.points)
+            assert np.array_equal(sa.points, sb.points)
+            assert np.array_equal(sa.point_counts, sb.point_counts)
 
     def test_infeasible_k_range(self):
         with pytest.raises(ConfigError):
@@ -170,7 +170,7 @@ class TestGenerateDataset:
         for s in samples:
             if s.split != "train":
                 continue
-            classes = [i.gt_class for i in s.instances]
+            classes = s.classes.tolist()
             subj, obj = pair_index_arrays(s.k)
             for e, p in zip(*np.nonzero(s.gt_predicate_rows)):
                 assert (classes[subj[e]], int(p), classes[obj[e]]) in triples
