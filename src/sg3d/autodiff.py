@@ -6,12 +6,16 @@ activations and reductions the model needs, softmax / log-softmax with
 exact Jacobian-vector products, concatenation and row gathering. Fused ops
 carry the model's hot paths:
 
+- `linear(x, w, b)`: x @ w + b in one op;
 - `attention(q, k, v, heads, layout, mask)`: every head of a multi-head
   scaled dot-product attention in one op, within each segment (scene) of
-  a `Segments` row layout, with a hand-written softmax backward. A layout
-  whose segments are equally long (one scene, or a group of scenes of one
-  size) is padded and unpadded by reshapes, without copies; zero rows (the
-  edges of a one-instance scene) give zero rows;
+  a `Segments` row layout, with a hand-written softmax backward. The
+  segments run as one padded block, or, when `Segments.groups` finds it
+  cheaper, as one block per group of similar lengths, so a small scene
+  is not padded to the largest of its batch. A layout whose segments are
+  equally long (one scene, or a group of scenes of one size) is padded
+  and unpadded by reshapes, without copies; zero rows (the edges of a
+  one-instance scene) give zero rows;
 - `segment_max(x, rows)` and `segment_mean(x, rows)`: one `reduceat` over
   the segments of a `Segments` layout (points per instance, out-edges per
   node, rows per scene), so a segment's result and gradient do not depend
@@ -153,6 +157,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # any real logit, and the value stays finite, so every op output is checked
 PAD_BIAS = -1e300
 
+# fwd+bwd cost of one more attention block, in padded logit entries
+# (count * longest**2, all heads at once), for `Segments.groups`. On a
+# 2-core x86-64 VM an entry took about 50 ns and a block about 85 us; on
+# random batches of 8 scenes' edges, K 4-9 and K 4-20 ran fastest from 300
+# to 1500, and K 2-4 ran slower below 1000. At 1000 no batch of 8 scenes
+# of K 2-4 splits, nodes or edges
+_BLOCK_ENTRIES = 1000
+
 
 class Segments:
     """Row layout of a packed batch: segment b owns the next `lengths[b]` rows.
@@ -162,7 +174,8 @@ class Segments:
     into zero-padded (count, longest) blocks and gather them back. A layout
     is `full` when every segment is as long as the longest, as one segment
     always is: then the blocks are the rows reshaped, and no index array is
-    built.
+    built. Where the lengths differ widely, `groups` splits the segments
+    into runs of similar lengths that `attention` pads each on its own.
     """
 
     def __init__(self, lengths):
@@ -209,6 +222,50 @@ class Segments:
             return None
         real = np.arange(self.longest) < self.lengths[:, None]
         return np.where(real, 0.0, PAD_BIAS)[:, None, None, :]
+
+    @cached_property
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray, "Segments"]] | None:
+        """Groups of segments for `attention` to run as blocks of their own,
+        or None when one padded block over the whole layout is cheapest, as
+        it always is for a full layout.
+
+        The non-empty segments, sorted by length, split into contiguous runs
+        that minimise the padded entries, count * longest**2 per run, plus
+        `_BLOCK_ENTRIES` per run: a dynamic program over the sorted lengths.
+        An empty segment joins no group. Each group is (rows, pairs,
+        sub_layout): the rows of its segments, the indices of their entries
+        in `pairs` order, and the layout of their lengths, which is full for
+        a run of equal lengths.
+        """
+        if self.full:
+            return None
+        order = np.argsort(self.lengths, kind="stable")
+        order = order[self.lengths[order] > 0]
+        sizes = self.lengths[order].tolist()
+        # best[j]: cheapest split of the shortest j segments; its last run starts at first[j]
+        best, first = [0] + [math.inf] * len(sizes), [0] * (len(sizes) + 1)
+        for j, longest in enumerate(sizes, 1):
+            for i in range(j):
+                cost = best[i] + (j - i) * longest * longest + _BLOCK_ENTRIES
+                if cost < best[j]:
+                    best[j], first[j] = cost, i
+        runs, j = [], len(sizes)
+        while j:
+            runs.append(order[first[j]:j])
+            j = first[j]
+        if len(runs) == 1:
+            return None
+        squares = self.lengths * self.lengths
+        pair_starts = np.cumsum(squares) - squares
+        groups = []
+        for segs in reversed(runs):
+            segs = np.sort(segs)
+            sub = Segments(self.lengths[segs])
+            seg, i, j = sub.pairs
+            rows = np.repeat(self.starts[segs], sub.lengths) + sub.pos
+            pairs = np.repeat(pair_starts[segs], squares[segs]) + i * sub.lengths[seg] + j
+            groups.append((rows, pairs, sub))
+        return groups
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """(total, D) rows -> (count, longest, D), zeros after each segment's rows."""
@@ -314,6 +371,28 @@ def matmul(a, b) -> Tensor:
             _accumulate(b, a.data.T @ g)
 
     return _from_op(a.data @ b.data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b with b broadcast over rows, as one op."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError(f"linear expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise DimensionError(f"linear inner dimensions disagree: {x.data.shape} @ {w.data.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g):
+        # the bias sum, then the two products: the order of
+        # add(matmul(x, w), b), whose gradients these are bitwise. Constant
+        # rows (points, descriptors) need no product
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+
+    return _from_op(out, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -488,42 +567,18 @@ def log_softmax(a, axis: int) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def attention(q, k, v, heads: int, layout: Segments, mask=None) -> Tensor:
-    """Multi-head scaled dot-product attention as one op, within each segment
-    of a row layout.
-
-    q, k and v are (N, D) rows of one shape that share `layout`. Each row
-    attends only to the rows of its own segment. The D columns split into
-    `heads` contiguous blocks of width dh, with logits q k^T / sqrt(dh) per
-    block. Every call pads the segments to the longest one, runs one
-    (count, H, longest, dh) computation with PAD_BIAS added to the logits of
-    padded keys, and unpads; a full layout (one segment, or equally long
-    ones) is reshaped, not copied. Zero rows give a (0, D) output.
-
-    The mask, when given, holds one value per ordered row pair of each
-    segment, in `layout.pairs` order (any shape with that many entries, so
-    one segment takes an (N, N) mask as is), and is added to every head's
-    logits before the softmax. Returns the heads' outputs side by side,
-    (N, D).
-
-    The backward is the softmax JVP of `softmax`, applied to every head at
-    once (the FlashAttention backward without the tiling).
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.data.ndim != 2 or not q.data.shape == k.data.shape == v.data.shape:
-        raise DimensionError(f"attention needs 2-D q, k and v of one shape, got q {q.data.shape}, "
-                             f"k {k.data.shape}, v {v.data.shape}")
-    n, d = q.data.shape
-    if heads < 1 or d % heads != 0:
-        raise DimensionError(f"heads ({heads}) must divide feature width ({d})")
-    if n != layout.total:
-        raise DimensionError(f"a layout of {layout.total} rows cannot hold {n} rows")
-    count, longest, dh = layout.count, layout.longest, d // heads
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, layout: Segments,
+            mask: np.ndarray | None):
+    """`attention` on arrays, as one padded (count, H, longest, dh) block over
+    `layout`. The mask is flat, in `layout.pairs` order. Returns the output
+    rows and a backward that maps their gradient to (gq, gk, gv, gmask), with
+    gmask flat like the mask, or None without one."""
+    count, longest, d = layout.count, layout.longest, q.shape[1]
+    dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    mask = None if mask is None else as_tensor(mask)
     bias = layout.key_bias
     if mask is not None:
-        blocks = layout.pad_pairs(mask.data)[:, None]
+        blocks = layout.pad_pairs(mask)[:, None]
         bias = blocks if bias is None else blocks + bias
 
     def split(x):
@@ -537,8 +592,8 @@ def attention(q, k, v, heads: int, layout: Segments, mask=None) -> Tensor:
 
     # contiguous head blocks: numpy's gemv path (a single query or key row)
     # sums in a stride-dependent order, and copies keep it that of a 2-D head
-    qh, vh = np.ascontiguousarray(split(q.data)), np.ascontiguousarray(split(v.data))
-    kt = np.ascontiguousarray(np.swapaxes(split(k.data), 2, 3))  # (count, H, dh, longest)
+    qh, vh = np.ascontiguousarray(split(q)), np.ascontiguousarray(split(v))
+    kt = np.ascontiguousarray(np.swapaxes(split(k), 2, 3))  # (count, H, dh, longest)
     logits = (qh @ kt) * scale
     if bias is not None:
         logits = logits + bias
@@ -552,15 +607,78 @@ def attention(q, k, v, heads: int, layout: Segments, mask=None) -> Tensor:
         gw = gh @ np.swapaxes(vh, 2, 3)
         gv = np.swapaxes(w, 2, 3) @ gh
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
-        if mask is not None:
-            _accumulate(mask, layout.unpad_pairs(gl.sum(axis=1)).reshape(mask.data.shape))
+        gmask = None if mask is None else layout.unpad_pairs(gl.sum(axis=1))
         gs = gl * scale
-        _accumulate(q, rows(gs @ np.swapaxes(kt, 2, 3)))
-        _accumulate(k, rows(np.swapaxes(np.swapaxes(qh, 2, 3) @ gs, 2, 3)))
-        _accumulate(v, rows(gv))
+        return (rows(gs @ np.swapaxes(kt, 2, 3)), rows(np.swapaxes(np.swapaxes(qh, 2, 3) @ gs, 2, 3)),
+                rows(gv), gmask)
+
+    return rows(w @ vh), backward
+
+
+def attention(q, k, v, heads: int, layout: Segments, mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op, within each segment
+    of a row layout.
+
+    q, k and v are (N, D) rows of one shape that share `layout`. Each row
+    attends only to the rows of its own segment. The D columns split into
+    `heads` contiguous blocks of width dh, with logits q k^T / sqrt(dh) per
+    block. The segments run as padded (count, H, longest, dh) blocks with
+    PAD_BIAS added to the logits of padded keys: one block over the whole
+    layout, or, when `layout.groups` finds it cheaper, one block per group of
+    similar lengths, its rows gathered in and scattered back out in C order.
+    A full layout (one segment, or equally long ones) is one block, reshaped,
+    not copied. Zero rows give a (0, D) output. Either way the call records
+    one op.
+
+    The mask, when given, holds one value per ordered row pair of each
+    segment, in `layout.pairs` order (any shape with that many entries, so
+    one segment takes an (N, N) mask as is), and is added to every head's
+    logits before the softmax. Returns the heads' outputs side by side,
+    (N, D).
+
+    The backward is the softmax JVP of `softmax`, applied to every head of a
+    block at once (the FlashAttention backward without the tiling).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 2 or not q.data.shape == k.data.shape == v.data.shape:
+        raise DimensionError(f"attention needs 2-D q, k and v of one shape, got q {q.data.shape}, "
+                             f"k {k.data.shape}, v {v.data.shape}")
+    n, d = q.data.shape
+    if heads < 1 or d % heads != 0:
+        raise DimensionError(f"heads ({heads}) must divide feature width ({d})")
+    if n != layout.total:
+        raise DimensionError(f"a layout of {layout.total} rows cannot hold {n} rows")
+    mask = None if mask is None else as_tensor(mask)
+    values = None if mask is None else mask.data.reshape(-1)
+    groups = layout.groups
+    if groups is None:
+        out, backward_rows = _attend(q.data, k.data, v.data, heads, layout, values)
+    else:
+        out, blocks = np.empty((n, d)), []
+        for rows, pairs, sub in groups:
+            out[rows], block = _attend(q.data[rows], k.data[rows], v.data[rows], heads, sub,
+                                       None if values is None else values[pairs])
+            blocks.append((rows, pairs, block))
+
+        def backward_rows(g):
+            gq, gk, gv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+            gmask = None if values is None else np.empty(values.size)
+            for rows, pairs, block in blocks:
+                gq[rows], gk[rows], gv[rows], gm = block(g[rows])
+                if gmask is not None:
+                    gmask[pairs] = gm
+            return gq, gk, gv, gmask
+
+    def backward(g):
+        gq, gk, gv, gmask = backward_rows(g)
+        if mask is not None:
+            _accumulate(mask, gmask.reshape(mask.data.shape))
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
 
     inputs = (q, k, v) if mask is None else (q, k, v, mask)
-    return _from_op(rows(w @ vh), inputs, backward)
+    return _from_op(out, inputs, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +726,3 @@ def take_per_row(a, cols) -> Tensor:
         _accumulate(a, ga)
 
     return _from_op(a.data[rows, cols], (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# composites
-
-
-def linear(x, w, b) -> Tensor:
-    """x @ w + b with b broadcast over rows."""
-    return add(matmul(x, w), b)
-

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,32 @@ def test_matmul_backward_rule():
     g = np.ones((3, 2))
     assert np.allclose(a.grad, g @ b.data.T)
     assert np.allclose(b.grad, a.data.T @ g)
+
+
+@pytest.mark.parametrize("constant_x", [False, True])
+def test_linear_gradients(constant_x):
+    # one op for x @ w + b, bitwise the matmul + add it fuses; a constant x
+    # (points, descriptors) gets no gradient
+    rng = np.random.default_rng(30 + constant_x)
+    x = Tensor(rng.standard_normal((5, 4))) if constant_x else param(rng, 5, 4)
+    w, b = param(rng, 4, 3), param(rng, 3)
+    params = {"w": w, "b": b} if constant_x else {"x": x, "w": w, "b": b}
+    weights = Tensor(rng.standard_normal((5, 3)))
+    check_params(lambda: ad.tsum(ad.mul(ad.linear(x, w, b), weights)), params, rng, rtol=RTOL)
+
+    def grads(fn):
+        for p in params.values():
+            p.zero_grad()
+        with Tape() as tape:
+            out = fn()
+            tape.backward(ad.tsum(ad.mul(out, weights)))
+        return out.data, {n: p.grad for n, p in params.items()}
+
+    fused, g_fused = grads(lambda: ad.linear(x, w, b))
+    ref, g_ref = grads(lambda: ad.add(ad.matmul(x, w), b))
+    assert np.array_equal(fused, ref)
+    assert all(np.array_equal(g_fused[n], g_ref[n]) for n in params)
+    assert (x.grad is None) == constant_x
 
 
 def test_softmax_uniform():
@@ -436,7 +464,10 @@ def test_segment_max_rejects_bad_starts():
 # ---------------------------------------------------------------------------
 # packed batch layouts: attention within each segment, one mean per segment
 
-PACKED_LENGTHS = [(3,), (2, 4), (1, 3, 2), (4, 4), (0, 2, 3), (1, 1)]
+# attention runs this layout as two blocks: (1, 2), padded, and (30, 30),
+# full, whose rows lie apart; the empty segment joins neither
+GROUPED_LENGTHS = (30, 2, 0, 30, 1)
+PACKED_LENGTHS = [(3,), (2, 4), (1, 3, 2), (4, 4), (0, 2, 3), (1, 1), GROUPED_LENGTHS]
 
 
 def test_segments_index_arrays():
@@ -472,8 +503,8 @@ def test_packed_attention_gradients(lengths, masked):
 
 @pytest.mark.parametrize("lengths", PACKED_LENGTHS)
 def test_packed_attention_matches_each_segment_alone(lengths):
-    # padding changes the softmax summation order, so the two agree to
-    # rounding, not bitwise
+    # padding to the longest segment of the layout, or of the segment's group,
+    # changes the summation order, so the two agree to rounding, not bitwise
     rng = np.random.default_rng(950 + sum(lengths) + len(lengths))
     layout = ad.Segments(lengths)
     q, k, v = (param(rng, layout.total, 8) for _ in range(3))
@@ -517,6 +548,78 @@ def test_packed_attention_matches_each_segment_alone(lengths):
     scale = max(float(np.abs(g).max()) for g in g_alone.values())
     for name in leaves:
         assert np.abs(g_packed[name] - g_alone[name]).max() <= 1e-12 * scale, name
+
+
+def test_segments_groups():
+    # small scenes keep one block; the edges of one batch of K 4-20 scenes
+    # run nearly one block per scene
+    assert ad.Segments([2, 3, 4, 2, 3, 4, 3, 3]).groups is None
+    assert ad.Segments([4, 6, 7, 9]).groups is None
+    assert len(ad.Segments((12, 380, 90, 240, 30, 156, 56, 306)).groups) >= 5
+    # the groups are runs of the sorted non-empty lengths, and their rows and
+    # pairs are each row and pair of those segments once
+    for lengths in (GROUPED_LENGTHS, (12, 380, 90, 240, 30, 156, 56, 306), (12, 30, 0, 42, 72)):
+        layout = ad.Segments(lengths)
+        groups = layout.groups
+        assert len(groups) >= 2
+        rows = np.concatenate([r for r, _, _ in groups])
+        pairs = np.concatenate([p for _, p, _ in groups])
+        assert np.array_equal(np.sort(rows), np.arange(layout.total))
+        assert np.array_equal(np.sort(pairs), np.arange(len(layout.pairs[0])))
+        runs = [sub.lengths for _, _, sub in groups]
+        assert all(a.max() <= b.min() for a, b in zip(runs, runs[1:]))
+        assert sorted(np.concatenate(runs).tolist()) == sorted(n for n in lengths if n)
+        for r, _, sub in groups:
+            assert np.array_equal(layout.seg[r], np.repeat(layout.seg[r][sub.starts], sub.lengths))
+
+
+def test_small_scene_batches_keep_one_block():
+    # one block is fastest for batches of 8 scenes of K 2-4 (nodes and edges);
+    # the grouping sorts the lengths, so their order does not matter
+    for ks in itertools.combinations_with_replacement(range(2, 5), 8):
+        assert ad.Segments(ks).groups is None
+        assert ad.Segments([k * (k - 1) for k in ks]).groups is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 400), count=st.integers(0, 12))
+def test_full_layouts_are_one_block(n, count):
+    # prediction packs scenes of one K: their layouts are full and never grouped
+    layout = ad.Segments([n] * count)
+    assert layout.full and layout.groups is None
+
+
+@pytest.mark.parametrize("lengths", [GROUPED_LENGTHS, (12, 30, 0, 42, 72)])
+def test_grouped_attention_matches_one_block(lengths, monkeypatch):
+    # a group pads to its own longest segment, not the layout's: the sums
+    # run in another order, so the two agree to rounding, measured against
+    # the largest gradient entry
+    rng = np.random.default_rng(990 + len(lengths))
+    total = sum(lengths)
+    leaves = {"q": param(rng, total, 8), "k": param(rng, total, 8), "v": param(rng, total, 8),
+              "mask": param(rng, sum(n * n for n in lengths))}
+    weights = Tensor(rng.standard_normal((total, 8)))
+
+    def run(layout):
+        for t in leaves.values():
+            t.zero_grad()
+        with Tape() as tape:
+            out = ad.attention(leaves["q"], leaves["k"], leaves["v"], 4, layout, leaves["mask"])
+            tape.backward(ad.tsum(ad.mul(out, weights)))
+        return out.data, {n: t.grad for n, t in leaves.items()}
+
+    grouped = ad.Segments(lengths)
+    assert grouped.groups is not None
+    out, grads = run(grouped)
+    assert out.flags.c_contiguous and all(g.flags.c_contiguous for g in grads.values())
+    monkeypatch.setattr(ad, "_BLOCK_ENTRIES", 10 ** 12)
+    one_block = ad.Segments(lengths)
+    assert one_block.groups is None
+    ref, ref_grads = run(one_block)
+    assert np.allclose(out, ref, rtol=0, atol=1e-13)
+    scale = max(float(np.abs(g).max()) for g in ref_grads.values())
+    for name in leaves:
+        assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * scale, name
 
 
 def test_packed_attention_rejects_mismatched_rows():

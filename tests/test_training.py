@@ -555,7 +555,7 @@ def test_tape_ops_per_scene_guard():
     # the fused attention and the packed encoder make the op count independent
     # of K; per-head or per-instance ops would grow it with heads and K
     rng = np.random.default_rng(41)
-    for vlsat, limit in ((True, 210), (False, 80)):
+    for vlsat, limit in ((True, 165), (False, 63)):
         model = ModelState(ModelConfig(joint=vlsat))
         counts = set()
         # a one-instance scene runs the edge path on zero rows, and a scene
